@@ -13,6 +13,7 @@ The library covers, over the rationals and with no floating point anywhere:
   * a text grammar, JSON documents, and the ``qfe`` command-line tool.
 """
 
+from .arith import moebius
 from .poly import (
     NEG_INFINITY,
     ONE,
@@ -30,7 +31,6 @@ from .cyclo import (
     as_multiset_quotient,
     cyclo_factor,
     cyclotomic,
-    moebius,
     q_power_minus_one,
 )
 from .solutions import (

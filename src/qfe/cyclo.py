@@ -22,13 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .arith import divisors, euler_phi, moebius
-from .poly import ONE, Polynomial
+from .poly import ONE, Polynomial, _int_divmod
 from .ratfunc import RationalFunction
 
 __all__ = [
-    "moebius",
     "cyclotomic",
     "q_power_minus_one",
     "CyclotomicFactorization",
@@ -91,28 +91,11 @@ class NonCyclotomicFactor(ValueError):
         super().__init__(f"non-cyclotomic residual factor: {residual}")
 
 
-def _int_coeffs(p: Polynomial) -> list[int]:
-    return [c.numerator for c in p.coeffs]
-
-
-def _exact_int_div(a: list[int], b: list[int]) -> list[int] | None:
-    """Quotient of a by the monic integer polynomial b, or None if inexact."""
-    db = len(b) - 1
-    da = len(a) - 1
-    if da < db:
-        return None
-    rem = list(a)
-    quot = [0] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        c = rem[k + db]
-        if c:
-            quot[k] = c
-            for i in range(db):
-                rem[k + i] -= c * b[i]
-            rem[k + db] = 0
-    if any(rem):
-        return None
-    return quot
+def _exact_int_div(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """Quotient of the integer polynomials a / b, or None unless it has
+    integer coefficients and the remainder is zero."""
+    quot, rem, s = _int_divmod(a, b)
+    return quot if s == 1 and not rem else None
 
 
 def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
@@ -132,9 +115,9 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     unit = body.leading
     monic = body.monic()
     # A monic product of cyclotomics has integer coefficients.
-    if any(c.denominator != 1 for c in monic.coeffs):
+    if monic._den != 1:
         raise NonCyclotomicFactor(monic)
-    remaining = _int_coeffs(monic)
+    remaining = monic._ints
     factors: dict[int, int] = {}
     d = 0
     while True:
@@ -146,7 +129,7 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
             raise NonCyclotomicFactor(Polynomial(remaining))
         if euler_phi(d) > deg:
             continue
-        phi = _int_coeffs(cyclotomic(d))
+        phi = cyclotomic(d)._ints
         while True:
             quotient = _exact_int_div(remaining, phi)
             if quotient is None:

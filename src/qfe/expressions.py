@@ -12,18 +12,27 @@ Exponents must be integer constants; a negative exponent must be
 parenthesized, as in q^(-2).  Whitespace is insignificant.  Parse errors
 carry the byte offset of the offending token.
 
+Parentheses, unary minus and chained exponents nest at most MAX_NESTING
+levels deep, which keeps parsing within the recursion limit; flat chains of
+'+', '-', '*' and '/' may be any length.
+
 ``format_expr`` prints the canonical descending-power form, which always
 parses back to the same function.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .poly import Polynomial, quantum_integer
 from .ratfunc import RationalFunction
+
+
+#: Deepest nesting of parentheses, unary minus and chained exponents accepted.
+MAX_NESTING = 64
 
 
 class ParseError(ValueError):
@@ -133,6 +142,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
@@ -155,6 +165,15 @@ class _Parser:
         tok = self.peek()
         return tok is not None and tok[0] == "sym" and tok[1] in symbols
 
+    def nested(self, pos: int, rule):
+        """Apply a grammar rule one nesting level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        node = rule()
+        self.depth -= 1
+        return node
+
     # grammar rules, loosest first
 
     def expr(self) -> Expr:
@@ -175,8 +194,8 @@ class _Parser:
 
     def factor(self) -> Expr:
         if self.at_symbol("-"):
-            self.advance()
-            return Neg(self.factor())
+            pos = self.advance()[2]
+            return Neg(self.nested(pos, self.factor))
         return self.power()
 
     def power(self) -> Expr:
@@ -197,14 +216,16 @@ class _Parser:
             head = int(value)
         elif kind == "sym" and value == "(":
             self.advance()
-            inner = self.expr()
+            inner = self.nested(pos, self.expr)
             self.expect(")")
             head = self._as_integer(inner, pos)
         else:
             raise ParseError("non-integer exponent", pos)
         if self.at_symbol("^"):
-            self.advance()
-            tail = self.exponent()
+            caret = self.advance()[2]
+            tail = self.nested(caret, self.exponent)
+            if head == 0 and tail < 0:
+                raise ParseError("zero to a negative exponent", pos)
             folded = Fraction(head) ** tail
             if folded.denominator != 1:
                 raise ParseError("non-integer exponent", pos)
@@ -233,7 +254,7 @@ class _Parser:
                 return self.qint_args(pos)
             raise ParseError(f"unknown name {value!r}", pos)
         if kind == "sym" and value == "(":
-            inner = self.expr()
+            inner = self.nested(pos, self.expr)
             self.expect(")")
             return Group(inner)
         raise ParseError(f"unexpected token {value!r}", pos)
@@ -270,8 +291,23 @@ def parse_expr(text: str) -> Expr:
     return node
 
 
+_CHAIN = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
 def eval_expr(node: Expr) -> RationalFunction:
     """Evaluate an AST exactly in the rational-function field."""
+    if type(node) in _CHAIN:
+        # A flat chain is a left-deep tree: walk its left spine without
+        # recursion, then fold upwards.  Division by the zero function
+        # raises ZeroDivisionError inside RationalFunction.
+        spine = []
+        while type(node) in _CHAIN:
+            spine.append(node)
+            node = node.left
+        value = eval_expr(node)
+        for op in reversed(spine):
+            value = _CHAIN[type(op)](value, eval_expr(op.right))
+        return value
     if isinstance(node, Number):
         return RationalFunction(Polynomial((node.value,)))
     if isinstance(node, Variable):
@@ -280,17 +316,6 @@ def eval_expr(node: Expr) -> RationalFunction:
         return RationalFunction(quantum_integer(node.n, node.r))
     if isinstance(node, Neg):
         return -eval_expr(node.operand)
-    if isinstance(node, Add):
-        return eval_expr(node.left) + eval_expr(node.right)
-    if isinstance(node, Sub):
-        return eval_expr(node.left) - eval_expr(node.right)
-    if isinstance(node, Mul):
-        return eval_expr(node.left) * eval_expr(node.right)
-    if isinstance(node, Div):
-        denominator = eval_expr(node.right)
-        if denominator.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        return eval_expr(node.left) / denominator
     if isinstance(node, Pow):
         base = eval_expr(node.base)
         if base.is_zero and node.exponent < 0:
@@ -303,6 +328,4 @@ def eval_expr(node: Expr) -> RationalFunction:
 
 def format_expr(f: "RationalFunction | Polynomial") -> str:
     """Canonical text form; eval_expr(parse_expr(format_expr(f))) == f."""
-    if isinstance(f, Polynomial):
-        return str(f)
     return str(f)

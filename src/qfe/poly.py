@@ -1,25 +1,27 @@
 """Exact dense univariate polynomial arithmetic over the rationals.
 
-A polynomial is stored as a tuple of Fraction coefficients, index i holding
-the coefficient of q**i, with no trailing zeros.  The zero polynomial is the
-empty tuple; its degree is NEG_INFINITY so that degree comparisons stay
-total.  Every coefficient is an exact rational; no floating point is used
-anywhere.
+A polynomial is stored in one canonical form: a tuple of integers ``ints``
+with no trailing zeros over one positive denominator ``den`` that shares no
+factor with all of them, denoting sum(ints[i] * q**i) / den.  The zero
+polynomial is the empty tuple over 1; its degree is NEG_INFINITY so that
+degree comparisons stay total.  Equality and hashing compare the stored form.
+
+All arithmetic runs on integers, never on floats.  ``Fraction`` values are
+built only at the API boundary (``coeffs``, ``leading``, ``constant_term``,
+evaluation and printing).  Division, the gcd remainder sequence and the
+exact-divisibility tests of ``cyclo`` share one fraction-free division
+routine, ``_int_divmod``.
 
 Values are immutable and all operations are pure, so polynomials may be
 shared freely between threads.
-
-Multiplication and gcd run on integer coefficient lists internally (common
-denominators are factored out first); this is observation-equivalent to
-Fraction arithmetic but roughly 30x faster, which matters for the larger
-products produced when solutions are composed with q -> q**m.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as _igcd
 from math import lcm as _lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -27,31 +29,17 @@ Scalar = Union[int, Fraction]
 NEG_INFINITY = float("-inf")
 
 
-def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
-def _int_form(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Common-denominator view: (ints, d) with coeffs[i] == ints[i] / d."""
-    d = 1
-    for c in coeffs:
-        if c.denominator != 1:
-            d = _lcm(d, c.denominator)
-    if d == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
 class Polynomial:
-    """Immutable dense polynomial in q with Fraction coefficients."""
+    """Immutable dense polynomial in q with rational coefficients, stored as
+    canonical integer coefficients over one positive denominator."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        self._coeffs = _trim([Fraction(c) for c in coeffs])
+        values = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = _lcm(*(v.denominator for v in values))
+        p = _make([v.numerator * (den // v.denominator) for v in values], den)
+        self._ints, self._den = p._ints, p._den
 
     @classmethod
     def constant(cls, c: Scalar) -> "Polynomial":
@@ -66,56 +54,57 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        """Coefficients in increasing power order, as Fractions."""
+        return tuple(Fraction(c, self._den) for c in self._ints)
 
     @property
     def degree(self) -> int | float:
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+        return len(self._ints) - 1 if self._ints else NEG_INFINITY
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._ints
 
     @property
     def leading(self) -> Fraction:
         """Leading coefficient; 0 for the zero polynomial."""
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+        return Fraction(self._ints[-1], self._den) if self._ints else Fraction(0)
 
     @property
     def constant_term(self) -> Fraction:
-        return self._coeffs[0] if self._coeffs else Fraction(0)
+        return Fraction(self._ints[0], self._den) if self._ints else Fraction(0)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self._coeffs) and self._coeffs[-1] == 1
+        return bool(self._ints) and self._ints[-1] == self._den
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._ints)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
         if isinstance(other, (int, Fraction)):
-            return self._coeffs == _trim([Fraction(other)])
+            other = _coerce(other)
+        if isinstance(other, Polynomial):
+            return self._ints == other._ints and self._den == other._den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._ints, self._den))
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
 
     def __str__(self) -> str:
         """Canonical descending-power form, e.g. 'q^2 - q + 1'."""
-        if not self._coeffs:
+        if not self._ints:
             return "0"
         parts: list[tuple[str, str]] = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
+        for k in range(len(self._ints) - 1, -1, -1):
+            c = self._ints[k]
             if not c:
                 continue
             sign = "-" if c < 0 else "+"
-            mag = abs(c)
+            mag = Fraction(abs(c), self._den)
             if k == 0:
                 body = str(mag)
             else:
@@ -134,20 +123,23 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self._ints, other._ints
+        den = self._den
+        if den != other._den:
+            den = _lcm(den, other._den)
+            a = [c * (den // self._den) for c in a]
+            b = [c * (den // other._den) for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return _make(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial()
-        p._coeffs = tuple(-c for c in self._coeffs)
-        return p
+        return _make([-c for c in self._ints], self._den)
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
         other = _coerce(other)
@@ -163,10 +155,9 @@ class Polynomial:
             return self.scaled(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
+        a, b = self._ints, other._ints
+        if not a or not b:
             return ZERO
-        a, da = _int_form(self._coeffs)
-        b, db = _int_form(other._coeffs)
         # Iterate the operand with fewer nonzero terms on the outside;
         # compositions q -> q**m produce very sparse factors.
         if sum(1 for c in a if c) > sum(1 for c in b if c):
@@ -177,13 +168,7 @@ class Polynomial:
             if ai:
                 for j, bj in nz_b:
                     out[i + j] += ai * bj
-        den = da * db
-        p = Polynomial()
-        if den == 1:
-            p._coeffs = tuple(Fraction(v) for v in out)
-        else:
-            p._coeffs = _trim([Fraction(v, den) for v in out])
-        return p
+        return _make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -207,20 +192,11 @@ class Polynomial:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        dd = len(other._coeffs) - 1
-        if len(self._coeffs) - 1 < dd:
-            return ZERO, self
-        rem = list(self._coeffs)
-        div = other._coeffs
-        inv = 1 / other.leading
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + dd] * inv
-            if c:
-                quot[k] = c
-                for i in range(dd + 1):
-                    rem[k + i] -= c * div[i]
-        return Polynomial(quot), Polynomial(rem[:dd])
+        # s * a == quot * b + rem for the integer forms a = self * da and
+        # b = other * db, so self == (quot * db / (s * da)) * other + rem / (s * da).
+        quot, rem, s = _int_divmod(self._ints, other._ints)
+        den = s * self._den
+        return _make([c * other._den for c in quot], den), _make(rem, den)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -234,34 +210,30 @@ class Polynomial:
         """Evaluate at a rational point (Horner)."""
         x = Fraction(x)
         acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self._ints):
             acc = acc * x + c
-        return acc
+        return acc / self._den
 
     def scaled(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
         if not c:
             return ZERO
-        p = Polynomial()
-        p._coeffs = tuple(v * c for v in self._coeffs)
-        return p
+        return _make([v * c.numerator for v in self._ints], self._den * c.denominator)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("the zero polynomial has no monic form")
-        return self if self.leading == 1 else self.scaled(1 / self.leading)
+        lead = self._ints[-1]
+        return self if lead == self._den else _make(list(self._ints), lead)
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by q**k; k < 0 divides and requires divisibility by q**-k."""
         if k >= 0:
-            if self.is_zero:
-                return ZERO
-            p = Polynomial()
-            p._coeffs = (Fraction(0),) * k + self._coeffs
-            return p
-        if any(self._coeffs[: -k]):
+            return _make([0] * k + list(self._ints), self._den)
+        if any(self._ints[: -k]):
             raise ValueError(f"not divisible by q^{-k}")
-        return Polynomial(self._coeffs[-k:])
+        return _make(list(self._ints[-k:]), self._den)
 
     def compose_power(self, m: int) -> "Polynomial":
         """Substitute q -> q**m; the degree becomes m * degree."""
@@ -269,33 +241,44 @@ class Polynomial:
             raise ValueError(f"compose_power requires m >= 1, got {m}")
         if m == 1 or self.is_zero:
             return self
-        out = [Fraction(0)] * (m * (len(self._coeffs) - 1) + 1)
-        for i, c in enumerate(self._coeffs):
-            out[m * i] = c
-        p = Polynomial()
-        p._coeffs = tuple(out)
-        return p
+        out = [0] * (m * (len(self._ints) - 1) + 1)
+        out[::m] = self._ints
+        return _make(out, self._den)
 
     def valuation(self) -> int:
         """Multiplicity of the root 0, i.e. the index of the first nonzero
         coefficient.  Undefined (raises) for the zero polynomial."""
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(self._ints):
             if c:
                 return i
         raise ValueError("the zero polynomial has no valuation")
+
+
+def _make(ints: list[int], den: int = 1) -> Polynomial:
+    """The polynomial sum(ints[i] * q**i) / den in canonical form; den != 0.
+    Trims the list in place."""
+    while ints and not ints[-1]:
+        ints.pop()
+    g = _igcd(den, *ints)
+    if den < 0:
+        g = -g
+    p = object.__new__(Polynomial)
+    p._ints = tuple(ints) if g == 1 else tuple(c // g for c in ints)
+    p._den = den // g
+    return p
 
 
 def _coerce(value: "Polynomial | Scalar") -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     if isinstance(value, (int, Fraction)):
-        return Polynomial((value,))
+        return _make([value.numerator], value.denominator)
     return NotImplemented  # type: ignore[return-value]
 
 
-ZERO = Polynomial()
-ONE = Polynomial((1,))
-Q = Polynomial((0, 1))
+ZERO = _make([])
+ONE = _make([1])
+Q = _make([0, 1])
 
 
 def quantum_integer(n: int, r: int = 1) -> Polynomial:
@@ -305,67 +288,70 @@ def quantum_integer(n: int, r: int = 1) -> Polynomial:
     """
     if n < 1 or r < 1:
         raise ValueError(f"quantum_integer requires n, r >= 1, got ({n}, {r})")
-    out = [Fraction(0)] * (r * (n - 1) + 1)
-    for i in range(n):
-        out[r * i] = Fraction(1)
-    p = Polynomial()
-    p._coeffs = tuple(out)
-    return p
+    out = [0] * (r * (n - 1) + 1)
+    out[::r] = [1] * n
+    return _make(out)
 
 
-# -- gcd (primitive polynomial remainder sequence over the integers) --------
+# -- integer division and gcd -------------------------------------------------
 
 
-def _int_primitive(coeffs: list[int]) -> list[int]:
+def _int_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Fraction-free division of integer coefficient lists; b is nonzero.
+
+    Returns (quot, rem, s) with s * a == quot * b + rem, rem trimmed and
+    shorter than b, and s >= 1.  The remainder is scaled only at a step whose
+    quotient coefficient is not an integer, so s == 1 exactly when the
+    quotient over the rationals has integer coefficients; for a monic b this
+    is plain integer long division.
+    """
+    db = len(b) - 1
+    lb = b[-1]
+    # Cyclotomic and dilated divisors are sparse: skip their zero terms.
+    tail = [(i, c) for i, c in enumerate(b[:db]) if c]
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    s = 1
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + db]
+        if not c:
+            continue
+        if c % lb:
+            m = abs(lb) // _igcd(c, lb)
+            rem = [m * v for v in rem[: k + db + 1]]
+            quot = [m * v for v in quot]
+            s *= m
+            c *= m
+        c //= lb
+        quot[k] = c
+        for i, bi in tail:
+            rem[k + i] -= c * bi
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem, s
+
+
+def _int_primitive(coeffs: Sequence[int]) -> list[int]:
     """Divide out the integer content; normalize the leading sign positive."""
-    from math import gcd as igcd
-
-    g = 0
-    for c in coeffs:
-        g = igcd(g, c)
-        if g == 1:
-            break
-    if g == 0:
+    if not coeffs:
         return []
+    g = _igcd(*coeffs)
     if coeffs[-1] < 0:
         g = -g
     return [c // g for c in coeffs]
-
-
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Integer remainder sequence step: repeatedly r <- lc(b)*r - lead*q^k*b."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    while len(r) - 1 >= db:
-        lead = r[-1]
-        if lead == 0:
-            r.pop()
-            continue
-        if lb != 1:
-            r = [lb * c for c in r]
-        k = len(r) - 1 - db
-        for i in range(db + 1):
-            r[k + i] -= lead * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor; gcd(0, 0) is undefined."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    # Scalar factors do not affect the monic gcd, so drop denominators.
-    fa = _int_primitive(_int_form(a.coeffs)[0])
-    fb = _int_primitive(_int_form(b.coeffs)[0])
+    # Scalar factors do not affect the monic gcd, so drop the denominators
+    # and run the primitive remainder sequence over the integers.
+    fa = _int_primitive(a._ints)
+    fb = _int_primitive(b._ints)
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while fb:
-        fa, fb = fb, _int_primitive(_int_pseudo_rem(fa, fb))
-    lc = fa[-1]
-    return Polynomial(Fraction(c, lc) for c in fa)
+        fa, fb = fb, _int_primitive(_int_divmod(fa, fb)[1])
+    return _make(fa, fa[-1])

@@ -155,17 +155,6 @@ def _term(spec: SolutionSpec, n: int) -> RationalFunction:
     return value
 
 
-def _term_in_order(spec: SolutionSpec, prime_powers: Iterable[int]) -> RationalFunction:
-    """Fold the given prime-power blocks in their given order (test hook for
-    the order-independence property)."""
-    value = RationalFunction.one()
-    m = 1
-    for block in prime_powers:
-        value = value * _term(spec, block).compose_power(m)
-        m *= block
-    return value
-
-
 def verify_functional_equation(spec: SolutionSpec, m: int, n: int) -> bool:
     """Check f(m*n) == f_m(q) * f_n(q**m) and the symmetric identity
     f_m(q) * f_n(q**m) == f_n(q) * f_m(q**n) on synthesized terms.

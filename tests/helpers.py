@@ -23,6 +23,7 @@ from qfe import (
     q_power_minus_one,
 )
 from qfe.arith import divisors
+from qfe.solutions import _term
 
 
 def substitute(p: Polynomial, inner: Polynomial) -> Polynomial:
@@ -137,3 +138,14 @@ def gcd_int(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
+
+
+def _term_in_order(spec: SolutionSpec, prime_powers: tuple[int, ...]) -> RationalFunction:
+    """Fold the given prime-power blocks in their given order; synthesize
+    folds them in one fixed order, so every order must agree with it."""
+    value = RationalFunction.one()
+    m = 1
+    for block in prime_powers:
+        value = value * _term(spec, block).compose_power(m)
+        m *= block
+    return value

@@ -169,6 +169,25 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_deep_nesting_exits_two(capsys):
+    code, out, err = run(capsys, "standard-form", "(" * 200 + "q" + ")" * 200)
+    assert code == 2
+    assert out == ""
+    assert "nesting" in err and "offset" in err
+
+
+def test_long_flat_sum(capsys):
+    code, out, _ = run(capsys, "standard-form", "+".join(["q"] * 5000))
+    assert code == 0
+    assert out == "lambda = 5000\ne = 1\nu = 1\nv = 1\n"
+
+
+def test_zero_to_negative_chained_exponent_exits_two(capsys):
+    code, _, err = run(capsys, "standard-form", "q^0^(-1)")
+    assert code == 2
+    assert "offset 2" in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "cyclo", "0")[0] == 2
     assert run(capsys, "cyclo")[0] == 2

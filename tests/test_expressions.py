@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qfe.expressions import (
+    MAX_NESTING,
     Add,
     Div,
     Group,
@@ -104,6 +105,35 @@ class TestParsing:
 
     def test_whitespace_insensitive(self):
         assert parse_expr("1-q+q^2") == parse_expr("1 - q  +  q ^ 2")
+
+
+class TestLimits:
+    def test_nesting_limit(self):
+        depth = MAX_NESTING
+        assert evaluate("(" * depth + "q" + ")" * depth) == RationalFunction(P(0, 1))
+        assert evaluate("-" * depth + "q") == RationalFunction(P(0, 1))
+        assert evaluate("q" + "^1" * (depth + 1)) == RationalFunction(P(0, 1))
+        with pytest.raises(ParseError, match="nesting") as exc:
+            parse_expr("(" * 200 + "q" + ")" * 200)
+        assert exc.value.position == depth
+        with pytest.raises(ParseError, match="nesting") as exc:
+            parse_expr("-" * (depth + 1) + "q")
+        assert exc.value.position == depth
+        with pytest.raises(ParseError, match="nesting"):
+            parse_expr("q" + "^1" * (depth + 2))
+        with pytest.raises(ParseError, match="nesting"):
+            parse_expr("q^(" * (depth + 1) + "1" + ")" * (depth + 1))
+
+    def test_long_flat_chains(self):
+        n = 5000
+        assert evaluate("+".join(["q"] * n)) == RationalFunction(P(0, n))
+        assert evaluate("-".join(["q"] * n)) == RationalFunction(P(0, 2 - n))
+        assert evaluate("q" + "*q/q" * (n // 2)) == RationalFunction(P(0, 1))
+
+    def test_zero_to_negative_chained_exponent(self):
+        with pytest.raises(ParseError) as exc:
+            parse_expr("q^0^(-1)")
+        assert exc.value.position == 2
 
 
 class TestEvaluation:

@@ -229,6 +229,15 @@ class TestCanonicalForm:
         assert P(0) == 0
 
 
+@given(polynomials, nonzero_polynomials, coefficients)
+def test_results_are_canonical(a, b, c):
+    # Equal values must have equal stored forms, whichever operation built them.
+    for result in (a + b, a - b, a * b, a.scaled(c), b.monic(), a // b, a % b):
+        rebuilt = Polynomial(result.coeffs)
+        assert result == rebuilt
+        assert hash(result) == hash(rebuilt)
+
+
 def test_exactness_no_floats():
     rng = random.Random(7)
     total = ONE

@@ -7,7 +7,6 @@ from qfe.ratfunc import RationalFunction
 from qfe.solutions import (
     NotASolution,
     SolutionSpec,
-    _term_in_order,
     combine,
     commutativity_violations,
     in_support,
@@ -18,7 +17,7 @@ from qfe.solutions import (
     verify_functional_equation,
 )
 
-from helpers import spec_257
+from helpers import _term_in_order, spec_257
 
 
 def P(*coeffs):
