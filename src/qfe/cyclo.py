@@ -13,16 +13,18 @@ prod Phi_d**m_d, and reports the stubborn residual factor when it cannot.
 
     prod_{u in num} (q**u - 1) / prod_{v in den} (q**v - 1)
 
-with disjoint multisets of indices; it is the data structure the
-decomposition algorithm peels.
+with disjoint multisets of indices, or as one signed table {k: e} of
+exponents of q**k - 1.  It owns the gcd-free table algebra (product,
+dilation, expansion) that the structure classification runs on.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .arith import divisors, euler_phi, moebius
 from .poly import ONE, Polynomial, _int_divmod
@@ -74,10 +76,16 @@ class CyclotomicFactorization:
 
     def value(self) -> Polynomial:
         """Multiply the factorization back out."""
-        p = Polynomial.monomial(self.qpower, self.unit)
-        for d, m in sorted(self.factors.items()):
-            p = p * cyclotomic(d) ** m
-        return p
+        return _cyclotomic_product(self.factors).scaled(self.unit).shift(self.qpower)
+
+
+def _cyclotomic_product(exponents: Mapping[int, int]) -> Polynomial:
+    """prod Phi_d**e over the positive entries e of exponents."""
+    p = ONE
+    for d, e in sorted(exponents.items()):
+        if e > 0:
+            p = p * cyclotomic(d) ** e
+    return p
 
 
 class NonCyclotomicFactor(ValueError):
@@ -144,7 +152,8 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
 @dataclass(frozen=True)
 class MultisetQuotient:
     """Disjoint multisets of indices representing
-    prod (q**u - 1) over num / prod (q**v - 1) over den.
+    prod (q**u - 1) over num / prod (q**v - 1) over den, or equivalently
+    the signed table {k: e} of ``exponents`` (num positive, den negative).
 
     By the uniqueness of this representation, two distinct quotients always
     denote distinct rational functions.  Empty multisets denote the empty
@@ -169,6 +178,24 @@ class MultisetQuotient:
         object.__setattr__(self, "num", dict(self.num))
         object.__setattr__(self, "den", dict(self.den))
 
+    @classmethod
+    def from_exponents(cls, table: Mapping[int, int]) -> "MultisetQuotient":
+        """The quotient prod (q**k - 1)**e of a signed table {k: e}."""
+        return cls(
+            num={k: e for k, e in table.items() if e > 0},
+            den={k: -e for k, e in table.items() if e < 0},
+        )
+
+    def exponents(self) -> Counter[int]:
+        """The signed table {k: e}: num multiplicities positive, den negative."""
+        return Counter({**self.num, **{k: -m for k, m in self.den.items()}})
+
+    def __mul__(self, other: "MultisetQuotient") -> "MultisetQuotient":
+        """The product quotient: signed exponents add."""
+        table = self.exponents()
+        table.update(other.exponents())
+        return MultisetQuotient.from_exponents(table)
+
     def max_index(self) -> int:
         """Largest index on either side; 0 when both sides are empty."""
         return max([0, *self.num, *self.den])
@@ -178,10 +205,7 @@ class MultisetQuotient:
         since (q**d)**k - 1 = q**(d*k) - 1."""
         if d < 1:
             raise ValueError(f"dilate requires d >= 1, got {d}")
-        return MultisetQuotient(
-            num={d * k: m for k, m in self.num.items()},
-            den={d * k: m for k, m in self.den.items()},
-        )
+        return MultisetQuotient.from_exponents({d * k: e for k, e in self.exponents().items()})
 
     def value(self) -> RationalFunction:
         """Expand the quotient exactly.
@@ -189,20 +213,11 @@ class MultisetQuotient:
         Expansion goes through net cyclotomic exponents, which yields an
         already-coprime numerator and denominator.
         """
-        net: dict[int, int] = {}
-        for k, m in self.num.items():
+        net: Counter[int] = Counter()
+        for k, e in self.exponents().items():
             for d in divisors(k):
-                net[d] = net.get(d, 0) + m
-        for k, m in self.den.items():
-            for d in divisors(k):
-                net[d] = net.get(d, 0) - m
-        num = den = ONE
-        for d, e in sorted(net.items()):
-            if e > 0:
-                num = num * cyclotomic(d) ** e
-            elif e < 0:
-                den = den * cyclotomic(d) ** (-e)
-        return RationalFunction._reduced(num, den)
+                net[d] += e
+        return RationalFunction._reduced(_cyclotomic_product(net), _cyclotomic_product(-net))
 
 
 def as_multiset_quotient(num: Polynomial, den: Polynomial) -> MultisetQuotient:
@@ -212,7 +227,7 @@ def as_multiset_quotient(num: Polynomial, den: Polynomial) -> MultisetQuotient:
     A failure certifies that num/den has a zero or pole that is neither 0
     nor a root of unity, so it cannot belong to any solution sequence.
     """
-    net: dict[int, int] = {}
+    table: Counter[int] = Counter()
     for part, sign in ((num, 1), (den, -1)):
         if part == ONE:
             continue
@@ -222,16 +237,8 @@ def as_multiset_quotient(num: Polynomial, den: Polynomial) -> MultisetQuotient:
                 "expected a monic polynomial with nonzero constant term, "
                 f"got {part}"
             )
+        # Moebius inversion: Phi_k = prod_{d | k} (q**d - 1)**moebius(k/d).
         for k, m in fact.factors.items():
-            net[k] = net.get(k, 0) + sign * m
-    # Transfer cyclotomic exponents to q**k - 1 exponents by Moebius
-    # inversion over the divisor lattice.
-    exps: dict[int, int] = {}
-    for k, c in net.items():
-        if not c:
-            continue
-        for d in divisors(k):
-            exps[d] = exps.get(d, 0) + c * moebius(k // d)
-    up = {d: e for d, e in exps.items() if e > 0}
-    down = {d: -e for d, e in exps.items() if e < 0}
-    return MultisetQuotient(num=up, den=down)
+            for d in divisors(k):
+                table[d] += sign * m * moebius(k // d)
+    return MultisetQuotient.from_exponents(table)

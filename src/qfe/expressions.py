@@ -14,7 +14,8 @@ carry the byte offset of the offending token.
 
 Parentheses, unary minus and chained exponents nest at most MAX_NESTING
 levels deep, which keeps parsing within the recursion limit; flat chains of
-'+', '-', '*' and '/' may be any length.
+'+', '-', '*' and '/' may be any length.  Powers, exponent chains and qint
+atoms whose degree would pass MAX_DEGREE are refused before allocation.
 
 ``format_expr`` prints the canonical descending-power form, which always
 parses back to the same function.
@@ -23,7 +24,7 @@ parses back to the same function.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -33,6 +34,9 @@ from .ratfunc import RationalFunction
 
 #: Deepest nesting of parentheses, unary minus and chained exponents accepted.
 MAX_NESTING = 64
+
+#: Largest degree a power, an exponent chain or a qint atom may produce.
+MAX_DEGREE = 100_000
 
 
 class ParseError(ValueError):
@@ -95,6 +99,7 @@ class Div:
 class Pow:
     base: "Expr"
     exponent: int
+    position: int = field(default=0, compare=False)  # offset of the '^'
 
 
 @dataclass(frozen=True)
@@ -201,8 +206,8 @@ class _Parser:
     def power(self) -> Expr:
         base = self.atom()
         if self.at_symbol("^"):
-            self.advance()
-            return Pow(base, self.exponent())
+            caret = self.advance()[2]
+            return Pow(base, self.exponent(), caret)
         return base
 
     def exponent(self) -> int:
@@ -226,10 +231,12 @@ class _Parser:
             tail = self.nested(caret, self.exponent)
             if head == 0 and tail < 0:
                 raise ParseError("zero to a negative exponent", pos)
-            folded = Fraction(head) ** tail
-            if folded.denominator != 1:
+            if abs(head) > 1 and tail < 0:
                 raise ParseError("non-integer exponent", pos)
-            return int(folded)
+            # |head|**tail >= 2**tail > MAX_DEGREE once tail passes its bit length.
+            if abs(head) > 1 and (tail > MAX_DEGREE.bit_length() or abs(head) ** tail > MAX_DEGREE):
+                raise ParseError(f"exponent above MAX_DEGREE = {MAX_DEGREE}", caret)
+            return head ** abs(tail)
         return head
 
     @staticmethod
@@ -267,6 +274,8 @@ class _Parser:
             self.advance()
             r = self.positive_int()
         self.expect(")")
+        if r * (n - 1) > MAX_DEGREE:
+            raise ParseError(f"degree above MAX_DEGREE = {MAX_DEGREE}", pos)
         return QuantumInteger(n, r)
 
     def positive_int(self) -> int:
@@ -320,6 +329,8 @@ def eval_expr(node: Expr) -> RationalFunction:
         base = eval_expr(node.base)
         if base.is_zero and node.exponent < 0:
             raise ZeroDivisionError("division by the zero function")
+        if max(base.num.degree, base.den.degree) * abs(node.exponent) > MAX_DEGREE:
+            raise ParseError(f"degree above MAX_DEGREE = {MAX_DEGREE}", node.position)
         return base**node.exponent
     if isinstance(node, Group):
         return eval_expr(node.inner)

@@ -203,6 +203,16 @@ class RationalFunction:
         return StandardForm(scale=scale, shift=a - b, num=num.monic(), den=den)
 
 
+def _assemble(scale: Fraction, shift: int, num: Polynomial, den: Polynomial) -> RationalFunction:
+    """scale * q**shift * num/den, for num and den as in StandardForm: no re-reduction."""
+    num = num.scaled(scale)
+    if shift >= 0:
+        num = num.shift(shift)
+    else:
+        den = den.shift(-shift)
+    return RationalFunction._reduced(num, den)
+
+
 def _coerce_rf(value: "RationalFunction | Polynomial | Scalar") -> RationalFunction:
     if isinstance(value, RationalFunction):
         return value
@@ -235,13 +245,7 @@ class StandardForm:
 
     def value(self) -> RationalFunction:
         """Reassemble the rational function exactly."""
-        num = self.num.scaled(self.scale)
-        den = self.den
-        if self.shift >= 0:
-            num = num.shift(self.shift)
-        else:
-            den = den.shift(-self.shift)
-        return RationalFunction._reduced(num, den)
+        return _assemble(self.scale, self.shift, self.num, self.den)
 
     @property
     def degree_difference(self) -> int:

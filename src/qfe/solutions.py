@@ -106,9 +106,13 @@ def is_commutative(spec: SolutionSpec) -> bool:
 
 
 def _require_commutative(spec: SolutionSpec) -> None:
-    bad = commutativity_violations(spec)
-    if bad:
-        pairs = ", ".join(f"({a}, {b})" for a, b in bad)
+    _reject_violations(commutativity_violations(spec))
+
+
+def _reject_violations(bad: Iterable[tuple[int, int]]) -> None:
+    """Raise NotASolution('commutativity') naming the violating pairs, if any."""
+    pairs = ", ".join(f"({a}, {b})" for a, b in bad)
+    if pairs:
         raise NotASolution(
             "commutativity",
             f"generator pairs {pairs} violate the compatibility identity",

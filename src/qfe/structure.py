@@ -7,22 +7,24 @@ at least two primes has the closed form
 
 where scale is completely multiplicative on the support, shift is a
 rational number with shift*(n-1) integral on the support, and the product
-runs over a finite exponent table.  ``StructureData`` holds that data,
-``closed_form`` evaluates it, and ``decompose`` recovers it from generators
-by repeatedly peeling quantum-integer factors off the multiset
-representation, using q**(r*p) - 1 = (q**r - 1) * [p]_{q**r}.
+runs over a finite exponent table.  ``StructureData`` holds that data.
+As [n]_{q**r} = (q**(r*n) - 1) / (q**r - 1), the rest is gcd-free algebra on
+signed tables of q**k - 1 exponents (``MultisetQuotient``): ``closed_form``
+expands {r*n: +t, r: -t}, and ``decompose`` compares table products, then
+peels quantum-integer factors off, using q**(r*p) - 1 = (q**r - 1) * [p]_{q**r}.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .arith import factorize, is_prime
 from .cyclo import MultisetQuotient, NonCyclotomicFactor, as_multiset_quotient
-from .poly import ONE, quantum_integer
-from .ratfunc import RationalFunction, StandardForm
-from .solutions import NotASolution, SolutionSpec, _require_commutative, in_support
+from .ratfunc import RationalFunction, StandardForm, _assemble
+from .solutions import NotASolution, SolutionSpec, _reject_violations, in_support
 
 
 class TooFewPrimes(ValueError):
@@ -90,26 +92,22 @@ def scale_at(sd: StructureData, n: int) -> Fraction:
 
 def closed_form(sd: StructureData, n: int) -> RationalFunction:
     """Evaluate the classified solution at n: zero outside the support,
-    otherwise scale(n) * q**(shift*(n-1)) * prod [n]_{q**r}**t exactly."""
+    otherwise scale(n) * q**(shift*(n-1)) * prod [n]_{q**r}**t exactly.
+    The product is the q**k - 1 exponent table {r*n: +t, r: -t}, summed where
+    indices collide.
+    """
     if n < 1:
         raise ValueError(f"closed_form requires n >= 1, got {n}")
     if not in_support(sd.primes, n):
         return RationalFunction.zero()
-    num = den = ONE
-    for r, t in sorted(sd.exponents.items()):
-        base = quantum_integer(n, r)
-        if t > 0:
-            num = num * base**t
-        else:
-            den = den * base ** (-t)
+    table: Counter[int] = Counter()
+    for r, t in sd.exponents.items():
+        table[r * n] += t
+        table[r] -= t
+    product = MultisetQuotient.from_exponents(table).value()
     e = sd.shift * (n - 1)
     assert e.denominator == 1  # guaranteed by validate_shift
-    num = num.scaled(scale_at(sd, n))
-    if e >= 0:
-        num = num.shift(int(e))
-    else:
-        den = den.shift(-int(e))
-    return RationalFunction(num, den)
+    return _assemble(scale_at(sd, n), int(e), product.num, product.den)
 
 
 def degree_signature(sd: StructureData, n: int) -> int:
@@ -130,7 +128,9 @@ def decompose(spec: SolutionSpec) -> StructureData:
       3. each num/den pair converts to its multiset quotient, else
          NotASolution('non-cyclotomic') -- the generator has a zero or pole
          that is neither 0 nor a root of unity, so no solution contains it;
-      4. the pairwise compatibility identity, else NotASolution('commutativity');
+      4. the pairwise compatibility identity, else NotASolution('commutativity'),
+         as M_a * dilate(M_b, a) == M_b * dilate(M_a, b): exact, since scales
+         commute, stage 2 makes both q-powers shift*(a*b - 1) and M is unique;
       5. quantum-integer peeling of the multisets (see _peel).
 
     The result reproduces every generator: closed_form(sd, p) == h_p.
@@ -153,7 +153,11 @@ def decompose(spec: SolutionSpec) -> StructureData:
                 f"generator for prime {p} has a zero or pole that is neither 0 "
                 f"nor a root of unity (residual factor {exc.residual})",
             ) from exc
-    _require_commutative(spec)
+    _reject_violations(
+        (a, b)
+        for a, b in combinations(spec.primes, 2)
+        if quotients[a] * quotients[b].dilate(a) != quotients[b] * quotients[a].dilate(b)
+    )
     exponents = _peel(quotients)
     return StructureData(
         primes=spec.primes,
@@ -182,34 +186,21 @@ def _common_shift(forms: dict[int, StandardForm]) -> Fraction:
 def _peel(quotients: dict[int, MultisetQuotient]) -> dict[int, int]:
     """Extract the exponent table from per-prime multiset quotients.
 
-    Each round inspects m_p, the largest index in either multiset of prime
+    Each round inspects m_p, the largest index in the signed table of prime
     p.  For a genuine solution the maxima satisfy m_p = r * p with one
-    positive r shared by every prime, and they sit on the same side
-    (numerator or denominator) everywhere.  Replacing that occurrence of
-    q**(r*p) - 1 with q**r - 1 divides exactly one factor [p]_{q**r} out
-    of every generator, so the shared exponent of [n]_{q**r} moves by one;
-    re-canonicalizing disjointness and repeating empties the multisets.
-
-    The weighted size sum(index * multiplicity) must drop every round;
-    a round that fails to shrink it would loop forever, so it aborts.
+    positive r shared by every prime, and their exponents have one sign s
+    (numerator or denominator) everywhere.  Multiplying every table by
+    [p]_{q**r}**(-s) = {r*p: -s, r: s} moves the shared exponent of
+    [n]_{q**r} by s.  Each round lowers every table's weight sum(k * |e_k|)
+    by at least r*p - r > 0 (|e_{r*p}| drops by one, |e_r| grows by at most
+    one), so peeling ends with empty tables or NotASolution('peeling').
     """
-    num = {p: dict(mq.num) for p, mq in quotients.items()}
-    den = {p: dict(mq.den) for p, mq in quotients.items()}
-    exponents: dict[int, int] = {}
-
-    def weight() -> int:
-        return sum(
-            k * m for side in (num, den) for bag in side.values() for k, m in bag.items()
-        )
-
-    previous = weight()
-    while True:
-        maxima = {p: max([0, *num[p], *den[p]]) for p in num}
-        if not any(maxima.values()):
-            break
+    exponents: Counter[int] = Counter()
+    while any(mq.max_index() for mq in quotients.values()):
         rates = set()
         sides = set()
-        for p, m_p in maxima.items():
+        for p, mq in quotients.items():
+            m_p = mq.max_index()
             if m_p == 0 or m_p % p:
                 raise NotASolution(
                     "peeling",
@@ -217,7 +208,7 @@ def _peel(quotients: dict[int, MultisetQuotient]) -> dict[int, int]:
                     f"multiple of {p}",
                 )
             rates.add(m_p // p)
-            sides.add("num" if m_p in num[p] else "den")
+            sides.add("num" if m_p in mq.num else "den")
         if len(rates) > 1 or len(sides) > 1:
             raise NotASolution(
                 "peeling",
@@ -225,28 +216,10 @@ def _peel(quotients: dict[int, MultisetQuotient]) -> dict[int, int]:
                 f"sides {sorted(sides)}",
             )
         r = rates.pop()
-        side = sides.pop()
-        for p in num:
-            target, other = (num[p], den[p]) if side == "num" else (den[p], num[p])
-            _remove_one(target, r * p)
-            if r in other:
-                _remove_one(other, r)
-            else:
-                target[r] = target.get(r, 0) + 1
-        exponents[r] = exponents.get(r, 0) + (1 if side == "num" else -1)
-        current = weight()
-        if current >= previous:
-            raise NotASolution(
-                "peeling",
-                f"peeling stalled: weighted size did not decrease ({previous} "
-                f"-> {current})",
-            )
-        previous = current
+        s = 1 if sides.pop() == "num" else -1
+        quotients = {
+            p: mq * MultisetQuotient.from_exponents({r * p: -s, r: s})
+            for p, mq in quotients.items()
+        }
+        exponents[r] += s
     return {r: t for r, t in sorted(exponents.items()) if t}
-
-
-def _remove_one(bag: dict[int, int], key: int) -> None:
-    if bag[key] == 1:
-        del bag[key]
-    else:
-        bag[key] -= 1

@@ -2,8 +2,9 @@
 
 The oracles here deliberately take different routes than the library code:
 compositions go through Horner evaluation in the polynomial ring, cyclotomic
-polynomials through the Moebius product over q**d - 1, and Moebius values
-through naive squarefree inspection.
+polynomials through the Moebius product over q**d - 1, Moebius values
+through naive squarefree inspection, and closed forms through dense
+quantum-integer products reduced by a gcd.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from qfe import (
     q_power_minus_one,
 )
 from qfe.arith import divisors
-from qfe.solutions import _term
+from qfe.poly import quantum_integer
+from qfe.solutions import _term, in_support
+from qfe.structure import scale_at
 
 
 def substitute(p: Polynomial, inner: Polynomial) -> Polynomial:
@@ -149,3 +152,25 @@ def _term_in_order(spec: SolutionSpec, prime_powers: tuple[int, ...]) -> Rationa
         value = value * _term(spec, block).compose_power(m)
         m *= block
     return value
+
+
+def closed_form_by_products(sd: StructureData, n: int) -> RationalFunction:
+    """closed_form by dense products: multiply [n]_{q**r}**|t| into the
+    numerator or the denominator, apply the scale and the q-shift, and let
+    RationalFunction reduce the quotient with a gcd."""
+    if not in_support(sd.primes, n):
+        return RationalFunction.zero()
+    num = den = ONE
+    for r, t in sorted(sd.exponents.items()):
+        base = quantum_integer(n, r)
+        if t > 0:
+            num = num * base**t
+        else:
+            den = den * base ** (-t)
+    e = sd.shift * (n - 1)
+    num = num.scaled(scale_at(sd, n))
+    if e >= 0:
+        num = num.shift(int(e))
+    else:
+        den = den.shift(-int(e))
+    return RationalFunction(num, den)

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 from qfe.cli import main
@@ -186,6 +187,17 @@ def test_zero_to_negative_chained_exponent_exits_two(capsys):
     code, _, err = run(capsys, "standard-form", "q^0^(-1)")
     assert code == 2
     assert "offset 2" in err
+
+
+def test_degree_blow_ups_exit_two(capsys):
+    for text in ("((" * 32 + "q" + ")^2)" * 32, "q^9^9^9", "q^100001"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "standard-form", text)
+        assert time.perf_counter() - start < 1.0, text
+        assert code == 2
+        assert out == ""
+        assert "MAX_DEGREE" in err and "offset" in err and "Traceback" not in err
+    assert run(capsys, "standard-form", "q^100000")[0] == 0
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from qfe.expressions import (
+    MAX_DEGREE,
     MAX_NESTING,
     Add,
     Div,
@@ -133,6 +135,41 @@ class TestLimits:
     def test_zero_to_negative_chained_exponent(self):
         with pytest.raises(ParseError) as exc:
             parse_expr("q^0^(-1)")
+        assert exc.value.position == 2
+
+    def test_degree_limit(self):
+        assert MAX_DEGREE == 100_000
+        assert evaluate("q^100000") == RationalFunction(Polynomial.monomial(100_000))
+        assert evaluate("qint(100001)").num.degree == 100_000
+        assert evaluate("(q^2)^50000").num.degree == 100_000
+        assert evaluate("q^2^16") == RationalFunction(Polynomial.monomial(2**16))
+        for text, position in (
+            ("q^100001", 1),
+            ("q^(-100001)", 1),
+            ("(q^2)^50001", 5),
+            ("(1/q)^100001", 5),
+            ("q^50001^2", 7),
+            ("qint(100002)", 0),
+            ("1 + qint(3, 50001)", 4),
+            ("q^2^17", 3),
+        ):
+            with pytest.raises(ParseError, match="MAX_DEGREE") as exc:
+                evaluate(text)
+            assert exc.value.position == position, text
+
+    def test_blow_ups_refused_before_allocation(self):
+        for text in ("((" * 32 + "q" + ")^2)" * 32, "q^9^9^9", "2^9^9^9"):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match="MAX_DEGREE"):
+                evaluate(text)
+            assert time.perf_counter() - start < 1.0, text
+
+    def test_chained_exponent_signs(self):
+        assert evaluate("q^1^(-5)") == RationalFunction(P(0, 1))
+        assert evaluate("q^(-1)^(-3)") == RationalFunction(ONE, P(0, 1))
+        assert evaluate("q^(-2)^3") == RationalFunction(ONE, Polynomial.monomial(8))
+        with pytest.raises(ParseError, match="non-integer") as exc:
+            parse_expr("q^2^(-1)")
         assert exc.value.position == 2
 
 

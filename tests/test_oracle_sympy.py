@@ -1,17 +1,21 @@
-"""Differential tests of the polynomial core against sympy.
+"""Differential tests of the polynomial core and the cyclotomic layer
+against sympy.
 
 sympy shares no code with qfe, so agreement on gcd, division and
 rational-function reduction cross-checks the integer division routine that
-all three run on.  sympy is a test-only dependency: without it these tests
-are skipped.
+all three run on, and agreement on cyclotomic polynomials and factor lists
+cross-checks the expansion every closed form goes through.  sympy is a
+test-only dependency: without it these tests are skipped.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfe.cyclo import NonCyclotomicFactor, cyclo_factor, cyclotomic
 from qfe.poly import Polynomial, gcd
 from qfe.ratfunc import RationalFunction
 
@@ -59,3 +63,49 @@ def test_reduction(common, x, y):
     num, den = sympy.Poly(num, q, domain="QQ"), sympy.Poly(den, q, domain="QQ")
     assert f.num == from_sympy(num.quo_ground(den.LC()))
     assert f.den == from_sympy(den.monic())
+
+
+def test_cyclotomic():
+    for k in range(1, 301):
+        assert cyclotomic(k) == from_sympy(sympy.cyclotomic_poly(k, q, polys=True)), k
+
+
+def test_cyclo_factor_matches_factor_list():
+    index = {
+        tuple(sympy.cyclotomic_poly(d, q, polys=True).all_coeffs()): d for d in range(1, 101)
+    }
+    rng = random.Random(2003)
+    for _ in range(60):
+        product = sympy.Poly(rng.choice([1, -1, 3, Fraction(-1, 2)]), q, domain="QQ")
+        qpower = rng.randint(0, 2)
+        product *= sympy.Poly(q**qpower, q)
+        for d in rng.sample(range(1, 31), rng.randint(1, 3)):
+            product *= sympy.cyclotomic_poly(d, q, polys=True) ** rng.randint(1, 2)
+        # A monic integer cofactor, nonzero at 0; it may or may not hold
+        # cyclotomic factors of its own.
+        cofactor = [1] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
+        cofactor[-1] = cofactor[-1] or 2
+        if rng.random() < 0.8:
+            product *= sympy.Poly(cofactor, q)
+        unit, factors = sympy.factor_list(product)
+        expected: dict[int, int] = {}
+        residual = sympy.Poly(1, q)
+        for factor, m in factors:
+            factor = factor.monic()
+            key = tuple(factor.all_coeffs())
+            if key == (1, 0):  # the factor q
+                assert m == qpower
+            elif key in index:
+                expected[index[key]] = m
+            else:
+                residual *= factor**m
+        p = from_sympy(product)
+        if residual.degree() > 0:
+            with pytest.raises(NonCyclotomicFactor) as exc:
+                cyclo_factor(p)
+            assert exc.value.residual == from_sympy(residual)
+        else:
+            fact = cyclo_factor(p)
+            assert fact.factors == expected
+            assert fact.qpower == qpower
+            assert fact.unit == p.leading

@@ -9,6 +9,7 @@ from qfe.ratfunc import RationalFunction
 from qfe.solutions import (
     NotASolution,
     SolutionSpec,
+    commutativity_violations,
     in_support,
     quantum_integer_spec,
     synthesize,
@@ -25,7 +26,7 @@ from qfe.structure import (
     validate_shift,
 )
 
-from helpers import random_structure_data, spec_257
+from helpers import closed_form_by_products, random_nonzero_fraction, random_structure_data, spec_257
 
 
 def P(*coeffs):
@@ -143,6 +144,15 @@ class TestClosedForm:
         for m in range(1, 21):
             for n in range(1, 21):
                 assert verify_functional_equation(spec, m, n)
+
+    def test_matches_dense_products(self):
+        rng = random.Random(4040)
+        cases = [random_structure_data(rng) for _ in range(30)]
+        # At n = 2 the index r*n = 2 of r = 1 is the dilation r = 2 itself.
+        cases.append(StructureData((2, 3), {2: 1, 3: 1}, Fraction(0), {1: 2, 2: -1}))
+        for sd in cases:
+            for n in range(1, 31):
+                assert closed_form(sd, n) == closed_form_by_products(sd, n), (sd, n)
 
 
 class TestDegreeSignature:
@@ -271,6 +281,48 @@ class TestDecomposeRejections:
         with pytest.raises(NotASolution) as exc:
             _peel(state)
         assert exc.value.reason == "peeling"
+
+
+class TestCompatibilityStage:
+    """Stage 4 of decompose checks the compatibility identity on multiset
+    quotients; on generators that pass stages 2-3 it must agree exactly with
+    the field-level commutativity_violations."""
+
+    @staticmethod
+    def mixed_spec(rng):
+        """Each prime's generator from one of two structure data over the
+        same primes with shift 0: stages 2-3 pass, the identity may not."""
+        primes = tuple(sorted(rng.sample([2, 3, 5, 7], rng.randint(2, 3))))
+
+        def data():
+            dilations = rng.sample([1, 2, 3, 4], rng.randint(0, 3))
+            return StructureData(
+                primes,
+                {p: random_nonzero_fraction(rng) for p in primes},
+                Fraction(0),
+                {r: rng.choice([-2, -1, 1, 2]) for r in dilations},
+            )
+
+        sources = (data(), data())
+        return SolutionSpec({p: closed_form(rng.choice(sources), p) for p in primes})
+
+    def test_matches_field_identity(self):
+        rng = random.Random(5150)
+        seen = set()
+        for _ in range(40):
+            spec = self.mixed_spec(rng)
+            violations = commutativity_violations(spec)
+            seen.add(bool(violations))
+            if not violations:
+                sd = decompose(spec)
+                assert all(closed_form(sd, p) == spec.generator(p) for p in spec.primes)
+                continue
+            with pytest.raises(NotASolution) as exc:
+                decompose(spec)
+            assert exc.value.reason == "commutativity"
+            pairs = ", ".join(f"({a}, {b})" for a, b in violations)
+            assert str(exc.value) == f"generator pairs {pairs} violate the compatibility identity"
+        assert seen == {True, False}
 
 
 class TestCertification:
