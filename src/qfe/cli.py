@@ -21,7 +21,7 @@ from .documents import (
     load_structure_data,
     structure_data_to_dict,
 )
-from .expressions import ParseError, eval_expr, format_expr, parse_expr
+from .expressions import MAX_DEGREE, ParseError, eval_expr, format_expr, parse_expr
 from .poly import quantum_integer
 from .solutions import (
     NotASolution,
@@ -37,6 +37,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
+
+
+def _require_degree(degree: int, name: str) -> None:
+    """Refuse, as a usage error, an argument asking for a polynomial of
+    degree above MAX_DEGREE: the bound the expression grammar applies."""
+    if degree > MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"{name} = {degree} is above MAX_DEGREE = {MAX_DEGREE}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,12 +110,14 @@ def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
 
 
 def _cmd_cyclo(args: argparse.Namespace) -> int:
+    _require_degree(args.k, "K")
     text = format_expr(cyclotomic(args.k))
     _emit(args, text, {"expr": text})
     return 0
 
 
 def _cmd_qint(args: argparse.Namespace) -> int:
+    _require_degree(args.r * (args.n - 1), "R*(N-1)")
     text = format_expr(quantum_integer(args.n, args.r))
     _emit(args, text, {"expr": text})
     return 0
@@ -192,7 +201,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ParseError, DocumentError) as exc:
+    except (ParseError, DocumentError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotASolution, TooFewPrimes, ZeroDivisionError, ValueError) as exc:

@@ -3,7 +3,10 @@
 The building blocks here are the polynomials q**k - 1 and the cyclotomic
 polynomials Phi_k, tied together by
 
-    q**k - 1 = prod_{d | k} Phi_d(q).
+    q**k - 1 = prod_{d | k} Phi_d(q),  Phi_k = prod_{d | k} (q**d - 1)**moebius(k/d),
+
+so one sparse kernel, ``_cyclotomic_product``, expands every product of
+cyclotomics through powers of q**j - 1.
 
 ``cyclo_factor`` decides whether a polynomial vanishes only at 0 and at
 roots of unity by actually producing the factorization unit * q**a *
@@ -24,10 +27,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import Mapping, Sequence
 
 from .arith import divisors, euler_phi, moebius
-from .poly import ONE, Polynomial, _int_divmod
+from .poly import ONE, Polynomial, _int_divmod, _make
 from .ratfunc import RationalFunction
 
 __all__ = [
@@ -51,19 +56,10 @@ def q_power_minus_one(k: int) -> Polynomial:
 @lru_cache(maxsize=None)
 def cyclotomic(k: int) -> Polynomial:
     """The k-th cyclotomic polynomial: monic, integer coefficients,
-    degree euler_phi(k).
-
-    Computed by exact division of q**k - 1 by the cyclotomics of the proper
-    divisors of k; the Moebius product over q**d - 1 is kept as an
-    independent cross-check in the tests.
-    """
+    degree euler_phi(k); expanded by ``_cyclotomic_product``."""
     if k < 1:
         raise ValueError(f"cyclotomic requires k >= 1, got {k}")
-    p = q_power_minus_one(k)
-    for d in divisors(k)[:-1]:
-        p, rem = divmod(p, cyclotomic(d))
-        assert rem.is_zero
-    return p
+    return _cyclotomic_product({k: 1})
 
 
 @dataclass(frozen=True)
@@ -79,13 +75,31 @@ class CyclotomicFactorization:
         return _cyclotomic_product(self.factors).scaled(self.unit).shift(self.qpower)
 
 
+def _moebius_table(exponents: Mapping[int, int]) -> Counter[int]:
+    """The signed table {j: a} with prod Phi_d**m == prod (q**j - 1)**a."""
+    table: Counter[int] = Counter()
+    for d, m in exponents.items():
+        table.update({j: m * moebius(d // j) for j in divisors(d)})
+    return table
+
+
 def _cyclotomic_product(exponents: Mapping[int, int]) -> Polynomial:
-    """prod Phi_d**e over the positive entries e of exponents."""
-    p = ONE
-    for d, e in sorted(exponents.items()):
-        if e > 0:
-            p = p * cyclotomic(d) ** e
-    return p
+    """prod Phi_d**e over the positive entries e of exponents.
+
+    Expands (-1)**sum(a) * prod (1 - q**j)**a over the ``_moebius_table`` in
+    integer power series cut after its known degree, where each 1 - q**j is
+    a unit: multiplying is c[i] -= c[i - j], dividing the running sum
+    c[i] += c[i - j] (Arnold and Monagan, Math. Comp. 80 (2011)).
+    """
+    table = _moebius_table({d: e for d, e in exponents.items() if e > 0})
+    c = [1] + [0] * sum(j * a for j, a in table.items())
+    for j, a in table.items():
+        for _ in range(a):
+            c[j:] = map(sub, c[j:], c[:-j])
+        for _ in range(-a):
+            for i in range(min(j, len(c))):
+                c[i::j] = accumulate(c[i::j])
+    return _make([-v for v in c] if sum(table.values()) % 2 else c)
 
 
 class NonCyclotomicFactor(ValueError):
@@ -215,8 +229,7 @@ class MultisetQuotient:
         """
         net: Counter[int] = Counter()
         for k, e in self.exponents().items():
-            for d in divisors(k):
-                net[d] += e
+            net.update(dict.fromkeys(divisors(k), e))
         return RationalFunction._reduced(_cyclotomic_product(net), _cyclotomic_product(-net))
 
 
@@ -237,8 +250,5 @@ def as_multiset_quotient(num: Polynomial, den: Polynomial) -> MultisetQuotient:
                 "expected a monic polynomial with nonzero constant term, "
                 f"got {part}"
             )
-        # Moebius inversion: Phi_k = prod_{d | k} (q**d - 1)**moebius(k/d).
-        for k, m in fact.factors.items():
-            for d in divisors(k):
-                table[d] += sign * m * moebius(k // d)
+        table.update(_moebius_table({k: sign * m for k, m in fact.factors.items()}))
     return MultisetQuotient.from_exponents(table)

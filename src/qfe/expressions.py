@@ -15,7 +15,8 @@ carry the byte offset of the offending token.
 Parentheses, unary minus and chained exponents nest at most MAX_NESTING
 levels deep, which keeps parsing within the recursion limit; flat chains of
 '+', '-', '*' and '/' may be any length.  Powers, exponent chains and qint
-atoms whose degree would pass MAX_DEGREE are refused before allocation.
+atoms whose degree would pass MAX_DEGREE are refused before allocation, and
+so is each '+', '-', '*' or '/' whose unreduced result would.
 
 ``format_expr`` prints the canonical descending-power form, which always
 parses back to the same function.
@@ -35,7 +36,8 @@ from .ratfunc import RationalFunction
 #: Deepest nesting of parentheses, unary minus and chained exponents accepted.
 MAX_NESTING = 64
 
-#: Largest degree a power, an exponent chain or a qint atom may produce.
+#: Largest degree a power, an exponent chain, a qint atom or one '+ - * /'
+#: step may produce.
 MAX_DEGREE = 100_000
 
 
@@ -75,24 +77,28 @@ class Neg:
 class Add:
     left: "Expr"
     right: "Expr"
+    position: int = field(default=0, compare=False)  # offset of the operator
 
 
 @dataclass(frozen=True)
 class Sub:
     left: "Expr"
     right: "Expr"
+    position: int = field(default=0, compare=False)  # offset of the operator
 
 
 @dataclass(frozen=True)
 class Mul:
     left: "Expr"
     right: "Expr"
+    position: int = field(default=0, compare=False)  # offset of the operator
 
 
 @dataclass(frozen=True)
 class Div:
     left: "Expr"
     right: "Expr"
+    position: int = field(default=0, compare=False)  # offset of the operator
 
 
 @dataclass(frozen=True)
@@ -184,17 +190,17 @@ class _Parser:
     def expr(self) -> Expr:
         node = self.term()
         while self.at_symbol("+", "-"):
-            op = self.advance()[1]
+            _, op, pos = self.advance()
             right = self.term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
+            node = Add(node, right, pos) if op == "+" else Sub(node, right, pos)
         return node
 
     def term(self) -> Expr:
         node = self.factor()
         while self.at_symbol("*", "/"):
-            op = self.advance()[1]
+            _, op, pos = self.advance()
             right = self.factor()
-            node = Mul(node, right) if op == "*" else Div(node, right)
+            node = Mul(node, right, pos) if op == "*" else Div(node, right, pos)
         return node
 
     def factor(self) -> Expr:
@@ -303,6 +309,16 @@ def parse_expr(text: str) -> Expr:
 _CHAIN = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 
+def _chain_degree(kind: type, a: RationalFunction, b: RationalFunction) -> int | float:
+    """Largest degree of the unreduced numerator and denominator of a op b;
+    degrees add under products and cross-multiplication."""
+    if kind is Mul:
+        return max(a.num.degree + b.num.degree, a.den.degree + b.den.degree)
+    if kind is Div:
+        return max(a.num.degree + b.den.degree, a.den.degree + b.num.degree)
+    return max(a.num.degree + b.den.degree, b.num.degree + a.den.degree, a.den.degree + b.den.degree)
+
+
 def eval_expr(node: Expr) -> RationalFunction:
     """Evaluate an AST exactly in the rational-function field."""
     if type(node) in _CHAIN:
@@ -315,7 +331,10 @@ def eval_expr(node: Expr) -> RationalFunction:
             node = node.left
         value = eval_expr(node)
         for op in reversed(spine):
-            value = _CHAIN[type(op)](value, eval_expr(op.right))
+            right = eval_expr(op.right)
+            if _chain_degree(type(op), value, right) > MAX_DEGREE:
+                raise ParseError(f"degree above MAX_DEGREE = {MAX_DEGREE}", op.position)
+            value = _CHAIN[type(op)](value, right)
         return value
     if isinstance(node, Number):
         return RationalFunction(Polynomial((node.value,)))

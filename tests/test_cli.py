@@ -200,6 +200,24 @@ def test_degree_blow_ups_exit_two(capsys):
     assert run(capsys, "standard-form", "q^100000")[0] == 0
 
 
+def test_size_arguments_exit_two(capsys):
+    for argv in (
+        ("cyclo", "100001"),
+        ("qint", "100002"),
+        ("qint", "2", "100001"),
+        ("standard-form", "q^100000*q^100000*q^100000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert "MAX_DEGREE" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "cyclo", "90090")
+    assert code == 0
+    assert out.startswith("q^17280 - q^17277 + q^17274")
+    assert run(capsys, "qint", "2", "100000")[0] == 0
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "cyclo", "0")[0] == 2
     assert run(capsys, "cyclo")[0] == 2

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import qfe.cyclo
+import qfe.poly
 from qfe.arith import divisors, euler_phi
 from qfe.cyclo import (
     CyclotomicFactorization,
@@ -16,8 +19,15 @@ from qfe.cyclo import (
 )
 from qfe.poly import ONE, ZERO, Polynomial, quantum_integer
 from qfe.ratfunc import RationalFunction
+from qfe.structure import closed_form
 
-from helpers import cyclotomic_by_moebius, moebius_brute, power_product, random_multiset_pair
+from helpers import (
+    cyclotomic_by_moebius,
+    moebius_brute,
+    power_product,
+    random_multiset_pair,
+    random_structure_data,
+)
 
 
 def P(*coeffs):
@@ -97,6 +107,35 @@ def test_cyclotomic_cache_concurrent_smoke():
     for table in results:
         for k, value in table.items():
             assert value == cyclotomic_by_moebius(k)
+
+
+def test_expansions_run_no_division_or_power(monkeypatch):
+    """cyclotomic, closed_form and CyclotomicFactorization.value expand
+    through the q**j - 1 kernel alone: no polynomial division, no power."""
+    calls: Counter[str] = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(qfe.poly, "_int_divmod")
+    count(qfe.cyclo, "_int_divmod")
+    count(Polynomial, "__divmod__")
+    count(Polynomial, "__pow__")
+    for k in range(1, 201):
+        cyclotomic.__wrapped__(k)
+    rng = random.Random(61)
+    for _ in range(20):
+        sd = random_structure_data(rng)
+        for n in range(1, 31):
+            closed_form(sd, n)
+    CyclotomicFactorization(Fraction(-3, 2), 2, {1: 2, 6: 1, 12: 3, 30: 1}).value()
+    assert calls == Counter()
 
 
 class TestQPowerMinusOne:

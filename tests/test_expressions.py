@@ -157,6 +157,22 @@ class TestLimits:
                 evaluate(text)
             assert exc.value.position == position, text
 
+    def test_chain_degree_limit(self):
+        assert evaluate("q^50000*q^50000").num.degree == 100_000
+        assert evaluate("1/q^50000 - 1/(q^50000+1)").den.degree == 100_000
+        for text, position in (
+            ("q^100000*q^100000*q^100000", 8),
+            ("q^60000/(1/q^60000)", 7),
+            ("1/q^60000 + 1/(q^60000+1)", 10),
+            ("q^60000 - 1/q^60000", 8),
+            ("q + q^99999*q^2", 11),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match="MAX_DEGREE") as exc:
+                evaluate(text)
+            assert exc.value.position == position, text
+            assert time.perf_counter() - start < 1.0, text
+
     def test_blow_ups_refused_before_allocation(self):
         for text in ("((" * 32 + "q" + ")^2)" * 32, "q^9^9^9", "2^9^9^9"):
             start = time.perf_counter()

@@ -66,7 +66,8 @@ def test_reduction(common, x, y):
 
 
 def test_cyclotomic():
-    for k in range(1, 301):
+    # Highly composite and prime-power indices, far beyond 300.
+    for k in [*range(1, 301), 2310, 5040, 30030, 65536]:
         assert cyclotomic(k) == from_sympy(sympy.cyclotomic_poly(k, q, polys=True)), k
 
 
