@@ -25,7 +25,9 @@ from .expressions import MAX_DEGREE, ParseError, eval_expr, format_expr, parse_e
 from .poly import quantum_integer
 from .solutions import (
     NotASolution,
+    SolutionSpec,
     commutativity_violations,
+    in_support,
     synthesize,
     verify_functional_equation,
 )
@@ -44,6 +46,19 @@ def _require_degree(degree: int, name: str) -> None:
     degree above MAX_DEGREE: the bound the expression grammar applies."""
     if degree > MAX_DEGREE:
         raise argparse.ArgumentTypeError(f"{name} = {degree} is above MAX_DEGREE = {MAX_DEGREE}")
+
+
+def _require_term_degree(spec: SolutionSpec, *ns: int) -> None:
+    """Refuse each f_n of the support for which (n-1) * max_p d_p/(p-1), with d_p the
+    larger degree of h_p's numerator and denominator, is above MAX_DEGREE.  By
+    induction on f(n) = f(n/p) * h_p(q**(n/p)), that bounds the degrees of f_n."""
+    for n in ns:
+        if in_support(spec.primes, n):
+            degrees = [
+                (n - 1) * max(h.num.degree, h.den.degree) // (p - 1)
+                for p, h in spec.generators.items()
+            ]
+            _require_degree(max(degrees, default=0), f"degree bound of f_{n}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,6 +152,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = load_solution_spec(args.spec)
+    _require_term_degree(spec, args.n)
     text = format_expr(synthesize(spec, args.n))
     _emit(args, text, {"expr": text})
     return 0
@@ -144,6 +160,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = load_solution_spec(args.spec)
+    # f_M and f_N are synthesized too, and may lie in the support when M*N does not.
+    _require_term_degree(spec, args.m * args.n, args.m, args.n)
     holds = verify_functional_equation(spec, args.m, args.n)
     _emit(args, "ok" if holds else "violated", {"holds": holds})
     return 0 if holds else 1
@@ -167,6 +185,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_closed_form(args: argparse.Namespace) -> int:
     sd = load_structure_data(args.structure)
+    if in_support(sd.primes, args.n):
+        rate = sum(r * abs(t) for r, t in sd.exponents.items()) + abs(sd.shift)
+        _require_degree((args.n - 1) * rate, "degree bound of the closed form at N")
     text = format_expr(closed_form(sd, args.n))
     _emit(args, text, {"expr": text})
     return 0

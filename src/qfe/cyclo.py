@@ -32,7 +32,7 @@ from operator import sub
 from typing import Mapping, Sequence
 
 from .arith import divisors, euler_phi, moebius
-from .poly import ONE, Polynomial, _int_divmod, _make
+from .poly import ONE, Polynomial, _int_divmod, _int_primitive, _make
 from .ratfunc import RationalFunction
 
 __all__ = [
@@ -134,12 +134,9 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
         raise ValueError("cannot factor the zero polynomial")
     qpower = p.valuation()
     body = p.shift(-qpower) if qpower else p
-    unit = body.leading
-    monic = body.monic()
-    # A monic product of cyclotomics has integer coefficients.
-    if monic._den != 1:
-        raise NonCyclotomicFactor(monic)
-    remaining = monic._ints
+    # By Gauss's lemma each monic Phi_d dividing the primitive integer part
+    # leaves an integer quotient.
+    remaining = _int_primitive(body._ints)
     factors: dict[int, int] = {}
     d = 0
     while True:
@@ -148,7 +145,7 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
             break
         d += 1
         if d > 2 * deg * deg:
-            raise NonCyclotomicFactor(Polynomial(remaining))
+            raise NonCyclotomicFactor(Polynomial(remaining).monic())
         if euler_phi(d) > deg:
             continue
         phi = cyclotomic(d)._ints
@@ -160,7 +157,7 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
             remaining = quotient
             if len(remaining) - 1 < len(phi) - 1:
                 break
-    return CyclotomicFactorization(unit=unit, qpower=qpower, factors=factors)
+    return CyclotomicFactorization(unit=body.leading, qpower=qpower, factors=factors)
 
 
 @dataclass(frozen=True)

@@ -122,10 +122,9 @@ def _reject_violations(bad: Iterable[tuple[int, int]]) -> None:
 def synthesize(spec: SolutionSpec, n: int) -> RationalFunction:
     """The term f_n of the solution determined by the generators.
 
-    Returns 0 outside the support and 1 at n = 1.  Otherwise n is split
-    into prime powers p1**a1 < ... < pk**ak and the multiplication law is
-    folded left to right, prime powers expanding as
-    f(p**a) = f(p**(a-1)) * h_p(q**(p**(a-1))).
+    Returns 0 outside the support and 1 at n = 1.  Otherwise, with p the
+    largest prime factor of n, the multiplication law at (n/p, p) gives
+    f(n) = f(n/p) * h_p(q**(n/p)), applied recursively on memoized terms.
 
     Raises NotASolution if the generators fail the compatibility check.
     """
@@ -139,22 +138,12 @@ def _term(spec: SolutionSpec, n: int) -> RationalFunction:
     cached = spec._terms.get(n)
     if cached is not None:
         return cached
-    powers = factorize(n)
-    if any(p not in spec._generators for p in powers):
-        value = RationalFunction.zero()
-    elif len(powers) == 1:
-        (p, a), = powers.items()
-        if a == 1:
-            value = spec.generator(p)
-        else:
-            below = p ** (a - 1)
-            value = _term(spec, below) * spec.generator(p).compose_power(below)
+    primes = factorize(n)
+    if primes.keys() <= spec._generators.keys():
+        p = max(primes)
+        value = _term(spec, n // p) * spec.generator(p).compose_power(n // p)
     else:
-        value = RationalFunction.one()
-        m = 1
-        for p, a in powers.items():
-            value = value * _term(spec, p**a).compose_power(m)
-            m *= p**a
+        value = RationalFunction.zero()
     spec._terms[n] = value
     return value
 

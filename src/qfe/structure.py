@@ -9,9 +9,10 @@ where scale is completely multiplicative on the support, shift is a
 rational number with shift*(n-1) integral on the support, and the product
 runs over a finite exponent table.  ``StructureData`` holds that data.
 As [n]_{q**r} = (q**(r*n) - 1) / (q**r - 1), the rest is gcd-free algebra on
-signed tables of q**k - 1 exponents (``MultisetQuotient``): ``closed_form``
-expands {r*n: +t, r: -t}, and ``decompose`` compares table products, then
-peels quantum-integer factors off, using q**(r*p) - 1 = (q**r - 1) * [p]_{q**r}.
+signed tables of q**k - 1 exponents (``MultisetQuotient``).  One builder,
+``_quantum_table``, gives the table {r*n: +t, r: -t} at n: ``closed_form``
+expands it, and ``decompose`` compares table products, then inverts it at
+the smallest prime and checks the result against every prime.
 """
 
 from __future__ import annotations
@@ -93,18 +94,13 @@ def scale_at(sd: StructureData, n: int) -> Fraction:
 def closed_form(sd: StructureData, n: int) -> RationalFunction:
     """Evaluate the classified solution at n: zero outside the support,
     otherwise scale(n) * q**(shift*(n-1)) * prod [n]_{q**r}**t exactly.
-    The product is the q**k - 1 exponent table {r*n: +t, r: -t}, summed where
-    indices collide.
+    The product is the q**k - 1 exponent table ``_quantum_table(exponents, n)``.
     """
     if n < 1:
         raise ValueError(f"closed_form requires n >= 1, got {n}")
     if not in_support(sd.primes, n):
         return RationalFunction.zero()
-    table: Counter[int] = Counter()
-    for r, t in sd.exponents.items():
-        table[r * n] += t
-        table[r] -= t
-    product = MultisetQuotient.from_exponents(table).value()
+    product = MultisetQuotient.from_exponents(_quantum_table(sd.exponents, n)).value()
     e = sd.shift * (n - 1)
     assert e.denominator == 1  # guaranteed by validate_shift
     return _assemble(scale_at(sd, n), int(e), product.num, product.den)
@@ -131,7 +127,9 @@ def decompose(spec: SolutionSpec) -> StructureData:
       4. the pairwise compatibility identity, else NotASolution('commutativity'),
          as M_a * dilate(M_b, a) == M_b * dilate(M_a, b): exact, since scales
          commute, stage 2 makes both q-powers shift*(a*b - 1) and M is unique;
-      5. quantum-integer peeling of the multisets (see _peel).
+      5. the exponents read off the smallest prime's table in one pass and
+         checked against every prime's table, else NotASolution('peeling')
+         (see _peel).
 
     The result reproduces every generator: closed_form(sd, p) == h_p.
     """
@@ -183,43 +181,38 @@ def _common_shift(forms: dict[int, StandardForm]) -> Fraction:
     return shift
 
 
-def _peel(quotients: dict[int, MultisetQuotient]) -> dict[int, int]:
-    """Extract the exponent table from per-prime multiset quotients.
+def _quantum_table(exponents: dict[int, int], n: int) -> Counter[int]:
+    """The q**k - 1 exponents {r*n: +t, r: -t} of prod_r [n]_{q**r}**t."""
+    table: Counter[int] = Counter()
+    for r, t in exponents.items():
+        table[r * n] += t
+        table[r] -= t
+    return table
 
-    Each round inspects m_p, the largest index in the signed table of prime
-    p.  For a genuine solution the maxima satisfy m_p = r * p with one
-    positive r shared by every prime, and their exponents have one sign s
-    (numerator or denominator) everywhere.  Multiplying every table by
-    [p]_{q**r}**(-s) = {r*p: -s, r: s} moves the shared exponent of
-    [n]_{q**r} by s.  Each round lowers every table's weight sum(k * |e_k|)
-    by at least r*p - r > 0 (|e_{r*p}| drops by one, |e_r| grows by at most
-    one), so peeling ends with empty tables or NotASolution('peeling').
+
+def _peel(quotients: dict[int, MultisetQuotient]) -> dict[int, int]:
+    """The exponents t whose ``_quantum_table(t, p)`` is every prime's table.
+
+    Entry k of the table e of the smallest prime p is t[k/p] - t[k], with
+    t[k/p] = 0 unless p | k.  One ascending pass over the keys of e sets
+    t[k] = t[k/p] - e[k] and carries a nonzero t[k] to k*p, k*p**2, ... up
+    to the next key or past the largest index.  Each prime's table is then
+    compared with t's, else NotASolution('peeling'): a carry that does not
+    close leaves an entry past the largest index, so it fails there too.
     """
-    exponents: Counter[int] = Counter()
-    while any(mq.max_index() for mq in quotients.values()):
-        rates = set()
-        sides = set()
-        for p, mq in quotients.items():
-            m_p = mq.max_index()
-            if m_p == 0 or m_p % p:
-                raise NotASolution(
-                    "peeling",
-                    f"largest index {m_p} for prime {p} is not a positive "
-                    f"multiple of {p}",
-                )
-            rates.add(m_p // p)
-            sides.add("num" if m_p in mq.num else "den")
-        if len(rates) > 1 or len(sides) > 1:
-            raise NotASolution(
-                "peeling",
-                f"maxima disagree across primes: rates {sorted(rates)}, "
-                f"sides {sorted(sides)}",
-            )
-        r = rates.pop()
-        s = 1 if sides.pop() == "num" else -1
-        quotients = {
-            p: mq * MultisetQuotient.from_exponents({r * p: -s, r: s})
-            for p, mq in quotients.items()
-        }
-        exponents[r] += s
-    return {r: t for r, t in sorted(exponents.items()) if t}
+    p = min(quotients)
+    e = quotients[p].exponents()
+    top = quotients[p].max_index()
+    t: dict[int, int] = {}
+    for k in sorted(e):
+        carry = (t.get(k // p, 0) if k % p == 0 else 0) - e[k]
+        while carry and k <= top:
+            t[k] = carry
+            k *= p
+            if k in e:
+                break
+    t = dict(sorted(t.items()))
+    for prime, mq in quotients.items():
+        if mq != MultisetQuotient.from_exponents(_quantum_table(t, prime)):
+            raise NotASolution("peeling", f"exponents {t} from prime {p} do not fit prime {prime}")
+    return t

@@ -4,12 +4,15 @@ The oracles here deliberately take different routes than the library code:
 compositions go through Horner evaluation in the polynomial ring, cyclotomic
 polynomials through the Moebius product over q**d - 1, Moebius values
 through naive squarefree inspection, and closed forms through dense
-quantum-integer products reduced by a gcd.
+quantum-integer products reduced by a gcd.  Two are earlier designs of
+library routines, kept as references: ``peel_greedy`` removes one
+quantum-integer factor per round, and ``term_by_fold`` folds prime powers.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from qfe import (
@@ -23,9 +26,9 @@ from qfe import (
     parse_expr,
     q_power_minus_one,
 )
-from qfe.arith import divisors
+from qfe.arith import divisors, factorize
 from qfe.poly import quantum_integer
-from qfe.solutions import _term, in_support
+from qfe.solutions import NotASolution, _term, in_support
 from qfe.structure import scale_at
 
 
@@ -174,3 +177,55 @@ def closed_form_by_products(sd: StructureData, n: int) -> RationalFunction:
     else:
         den = den.shift(-int(e))
     return RationalFunction(num, den)
+
+
+def peel_greedy(quotients: dict[int, MultisetQuotient]) -> dict[int, int]:
+    """The exponent table of per-prime multiset quotients, one factor per round.
+
+    Each round inspects m_p, the largest index in the signed table of prime
+    p.  For a genuine solution the maxima satisfy m_p = r * p with one
+    positive r shared by every prime, and their exponents have one sign s
+    (numerator or denominator) everywhere.  Multiplying every table by
+    [p]_{q**r}**(-s) = {r*p: -s, r: s} moves the shared exponent of
+    [n]_{q**r} by s.  Each round lowers every table's weight sum(k * |e_k|)
+    by at least r*p - r > 0 (|e_{r*p}| drops by one, |e_r| grows by at most
+    one), so peeling ends with empty tables or NotASolution('peeling').
+    """
+    exponents: Counter[int] = Counter()
+    while any(mq.max_index() for mq in quotients.values()):
+        rates = set()
+        sides = set()
+        for p, mq in quotients.items():
+            m_p = mq.max_index()
+            if m_p == 0 or m_p % p:
+                raise NotASolution("peeling", f"largest index {m_p} for prime {p}")
+            rates.add(m_p // p)
+            sides.add("num" if m_p in mq.num else "den")
+        if len(rates) > 1 or len(sides) > 1:
+            raise NotASolution("peeling", f"rates {sorted(rates)}, sides {sorted(sides)}")
+        r = rates.pop()
+        s = 1 if sides.pop() == "num" else -1
+        quotients = {
+            p: mq * MultisetQuotient.from_exponents({r * p: -s, r: s})
+            for p, mq in quotients.items()
+        }
+        exponents[r] += s
+    return {r: t for r, t in sorted(exponents.items()) if t}
+
+
+def term_by_fold(spec: SolutionSpec, n: int) -> RationalFunction:
+    """f_n without the library's memo: split n into prime powers
+    p1**a1 < ... < pk**ak, expand each as f(p**a) = f(p**(a-1)) *
+    h_p(q**(p**(a-1))), and fold the multiplication law left to right."""
+    powers = factorize(n)
+    if any(p not in spec.primes for p in powers):
+        return RationalFunction.zero()
+    value = RationalFunction.one()
+    m = 1
+    for p, a in powers.items():
+        block = RationalFunction.one()
+        for i in range(a):
+            block = block * spec.generator(p).compose_power(p**i)
+        value = value * block.compose_power(m)
+        m *= p**a
+    return value

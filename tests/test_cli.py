@@ -218,6 +218,43 @@ def test_size_arguments_exit_two(capsys):
     assert run(capsys, "qint", "2", "100000")[0] == 0
 
 
+def test_term_degree_bounds_exit_two(capsys, tmp_path):
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def structure(r):
+        lam = {"2": "1", "3": "1"}
+        return {"primes": [2, 3], "lambda": lam, "t0": "0", "terms": [{"r": r, "t": 1}]}
+
+    linear = write("linear.json", structure(1))
+    dilated = write("dilated.json", structure(10**9))
+    quantum = write(
+        "quantum.json", {"primes": [2, 3], "generators": {"2": "1 + q", "3": "1 + q + q^2"}}
+    )
+    for argv in (
+        ("closed-form", "--structure", linear, "131072"),
+        ("closed-form", "--structure", dilated, "2"),
+        ("synth", "--spec", quantum, "131072"),
+        ("verify", "--spec", quantum, "512", "512"),
+        # f_M lies in the support although M*N does not.
+        ("verify", "--spec", SPEC257, "262144", "3"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert "MAX_DEGREE" in err and "Traceback" not in err, argv
+    # Outside the support of {2, 3} the answer is 0, however large N is.
+    for n in ("30", str(5 * 2**40)):
+        assert run(capsys, "closed-form", "--structure", linear, n)[:2] == (0, "0\n")
+        assert run(capsys, "synth", "--spec", quantum, n)[:2] == (0, "0\n")
+    code, out, _ = run(capsys, "closed-form", "--structure", linear, "24")
+    assert code == 0 and out.startswith("q^23 + q^22")
+    assert run(capsys, "synth", "--spec", quantum, "24")[:2] == (0, out)
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "cyclo", "0")[0] == 2
     assert run(capsys, "cyclo")[0] == 2

@@ -76,6 +76,7 @@ def test_cyclo_factor_matches_factor_list():
         tuple(sympy.cyclotomic_poly(d, q, polys=True).all_coeffs()): d for d in range(1, 101)
     }
     rng = random.Random(2003)
+    cases = []
     for _ in range(60):
         product = sympy.Poly(rng.choice([1, -1, 3, Fraction(-1, 2)]), q, domain="QQ")
         qpower = rng.randint(0, 2)
@@ -88,6 +89,21 @@ def test_cyclo_factor_matches_factor_list():
         cofactor[-1] = cofactor[-1] or 2
         if rng.random() < 0.8:
             product *= sympy.Poly(cofactor, q)
+        cases.append((product, qpower))
+    # Non-monic integer cofactors 2q^2 - 1 and 3q + 1: the residual is their
+    # monic associate, with every cyclotomic factor divided out.
+    for unit, qpower, indices, cofactors in (
+        (1, 0, [1], [[2, 0, -1]]),
+        (Fraction(-1, 2), 1, [6, 6], [[3, 1]]),
+        (3, 0, [5, 2], [[2, 0, -1], [3, 1]]),
+    ):
+        product = sympy.Poly(unit, q, domain="QQ") * sympy.Poly(q**qpower, q)
+        for d in indices:
+            product *= sympy.cyclotomic_poly(d, q, polys=True)
+        for cofactor in cofactors:
+            product *= sympy.Poly(cofactor, q)
+        cases.append((product, qpower))
+    for product, qpower in cases:
         unit, factors = sympy.factor_list(product)
         expected: dict[int, int] = {}
         residual = sympy.Poly(1, q)

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -16,8 +17,9 @@ from qfe.solutions import (
     synthesize,
     verify_functional_equation,
 )
+from qfe.structure import closed_form
 
-from helpers import _term_in_order, spec_257
+from helpers import _term_in_order, random_structure_data, spec_257, term_by_fold
 
 
 def P(*coeffs):
@@ -140,6 +142,18 @@ class TestSynthesize:
                     for i in range(k):
                         product = product * synthesize(spec, m).compose_power(m**i)
                     assert synthesize(spec, m**k) == product
+
+    def test_matches_prime_power_fold(self):
+        # synthesize splits off the largest prime; the earlier design folded
+        # prime-power blocks left to right.
+        rng = random.Random(48)
+        specs = [quantum_integer_spec([2, 3, 5]), spec_257()]
+        for _ in range(6):
+            sd = random_structure_data(rng)
+            specs.append(SolutionSpec({p: closed_form(sd, p) for p in sd.primes}))
+        for spec in specs:
+            for n in range(1, 49):
+                assert synthesize(spec, n) == term_by_fold(spec, n), (spec, n)
 
     def test_support_law(self):
         spec = spec_257()

@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qfe.cyclo import MultisetQuotient, cyclo_factor
 from qfe.poly import Polynomial, quantum_integer
@@ -9,8 +12,11 @@ from qfe.ratfunc import RationalFunction
 from qfe.solutions import (
     NotASolution,
     SolutionSpec,
+    combine,
     commutativity_violations,
     in_support,
+    invert,
+    is_commutative,
     quantum_integer_spec,
     synthesize,
     verify_functional_equation,
@@ -19,6 +25,7 @@ from qfe.structure import (
     StructureData,
     TooFewPrimes,
     _peel,
+    _quantum_table,
     closed_form,
     decompose,
     degree_signature,
@@ -26,7 +33,14 @@ from qfe.structure import (
     validate_shift,
 )
 
-from helpers import closed_form_by_products, random_nonzero_fraction, random_structure_data, spec_257
+from helpers import (
+    closed_form_by_products,
+    peel_greedy,
+    random_multiset_pair,
+    random_nonzero_fraction,
+    random_structure_data,
+    spec_257,
+)
 
 
 def P(*coeffs):
@@ -335,3 +349,127 @@ class TestCertification:
             form = f.standard_form()
             cyclo_factor(form.num)
             cyclo_factor(form.den)
+
+
+def genuine_quotients(rng, primes):
+    """Per-prime tables of a random exponent table, and that table."""
+    dilations = rng.sample(range(1, 13), rng.randint(0, 4))
+    exponents = {r: rng.choice([-3, -2, -1, 1, 2, 3]) for r in dilations}
+    tables = {p: MultisetQuotient.from_exponents(_quantum_table(exponents, p)) for p in primes}
+    return tables, exponents
+
+
+class TestPeel:
+    """_peel reads the exponents off one prime's table and checks every
+    prime; peel_greedy, the earlier design, removes one factor per round.
+    The two must agree on every input, genuine or not."""
+
+    @staticmethod
+    def outcome(peel, quotients):
+        try:
+            return peel(quotients)
+        except NotASolution as exc:
+            return exc.reason
+
+    def test_matches_greedy_reference(self):
+        rng = random.Random(7007)
+        outcomes = {"genuine": set(), "perturbed": set(), "random": set()}
+        for i in range(2400):
+            primes = tuple(sorted(rng.sample([2, 3, 5, 7], rng.randint(2, 3))))
+            kind = ("genuine", "perturbed", "random")[i % 3]
+            if kind == "random":
+                quotients = {p: random_multiset_pair(rng, max_index=30) for p in primes}
+            else:
+                quotients, exponents = genuine_quotients(rng, primes)
+            if kind == "perturbed":
+                p = rng.choice(primes)
+                table = quotients[p].exponents()
+                k = rng.choice([*table, rng.randint(1, 40)])
+                table[k] += rng.choice([-1, 1])
+                quotients[p] = MultisetQuotient.from_exponents(table)
+            result = self.outcome(_peel, quotients)
+            assert result == self.outcome(peel_greedy, quotients), quotients
+            if kind == "genuine":
+                assert result == dict(sorted(exponents.items()))
+            outcomes[kind].add(isinstance(result, dict))
+        # The other primes fix the exponents, so a one-entry change never peels.
+        assert outcomes == {"genuine": {True}, "perturbed": {False}, "random": {True, False}}
+
+    def test_huge_indices_answer_at_once(self):
+        hostile = {2: MultisetQuotient({10**12: 1}), 3: MultisetQuotient()}
+        genuine = {p: MultisetQuotient({p * 10**12: 1}, {10**12: 1}) for p in (2, 3)}
+        start = time.perf_counter()
+        with pytest.raises(NotASolution) as exc:
+            _peel(hostile)
+        assert exc.value.reason == "peeling"
+        assert _peel(genuine) == {10**12: 1}
+        assert time.perf_counter() - start < 0.1
+
+    def test_multiplies_no_quotients(self, monkeypatch):
+        # The one-pass design compares tables; it never forms a product.
+        calls = []
+        product = MultisetQuotient.__mul__
+        monkeypatch.setattr(
+            MultisetQuotient, "__mul__", lambda a, b: calls.append(1) or product(a, b)
+        )
+        rng = random.Random(11)
+        for _ in range(50):
+            quotients, exponents = genuine_quotients(rng, (2, 3, 5))
+            assert _peel(quotients) == dict(sorted(exponents.items()))
+        assert not calls
+
+
+@st.composite
+def theorem_specs(draw):
+    """Specs built from closed forms by combine and invert, some with one
+    coefficient of one generator changed."""
+    primes = tuple(sorted(draw(st.sets(st.sampled_from([2, 3, 5]), min_size=2, max_size=3))))
+
+    def solution():
+        sd = StructureData(
+            primes,
+            {p: draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)])) for p in primes},
+            Fraction(draw(st.integers(-1, 1)), 1 if 2 in primes else draw(st.sampled_from([1, 2]))),
+            draw(st.dictionaries(st.integers(1, 2), st.sampled_from([-1, 1]), max_size=2)),
+        )
+        return SolutionSpec({p: closed_form(sd, p) for p in primes})
+
+    spec = solution()
+    kind = draw(st.sampled_from(["closed", "combine", "invert"]))
+    if kind == "combine":
+        spec = combine(
+            spec,
+            solution(),
+            dilate_f=draw(st.integers(1, 2)),
+            dilate_g=draw(st.integers(1, 2)),
+            power_f=draw(st.sampled_from([-1, 1])),
+            power_g=draw(st.sampled_from([-1, 1])),
+        )
+    elif kind == "invert":
+        spec = invert(spec)
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(primes))
+        h = spec.generator(p)
+        side = draw(st.sampled_from(["num", "den"]))
+        part = getattr(h, side)
+        part = part + Polynomial.monomial(
+            draw(st.integers(0, int(part.degree))), draw(st.sampled_from([-1, 1, 2]))
+        )
+        assume(not part.is_zero)
+        h = RationalFunction(part, h.den) if side == "num" else RationalFunction(h.num, part)
+        spec = SolutionSpec({**spec.generators, p: h})
+    return spec
+
+
+@given(theorem_specs())
+@settings(max_examples=60, deadline=None)
+def test_decompose_succeeds_exactly_on_solutions(spec):
+    # The classification theorem: over at least two primes, the generators
+    # extend to a solution iff they have the closed form.
+    try:
+        sd = decompose(spec)
+    except NotASolution:
+        assert not is_commutative(spec)
+    else:
+        assert is_commutative(spec)
+        assert all(closed_form(sd, p) == spec.generator(p) for p in spec.primes)
