@@ -1,31 +1,10 @@
 """Small integer number theory: factorization, Moebius, Euler phi, divisors.
 
-Backed by a growable smallest-prime-factor sieve so that scanning many
-consecutive arguments (as the cyclotomic factor search does) stays cheap.
-Replacing the sieve is an atomic rebind, so concurrent use is safe; a race
-at worst recomputes the table.
+Everything rests on ``factorize``: trial division by 2 and the odd numbers
+up to the square root of what is left of n.
 """
 
 from __future__ import annotations
-
-# Beyond this the sieve would be wasteful; fall back to trial division.
-_SIEVE_CAP = 1 << 21
-
-_spf: list[int] = [0, 1]
-
-
-def _sieve(limit: int) -> None:
-    global _spf
-    if len(_spf) > limit:
-        return
-    size = min(max(limit + 1, 2 * len(_spf), 1 << 10), _SIEVE_CAP + 1)
-    spf = list(range(size))
-    for p in range(2, int(size**0.5) + 1):
-        if spf[p] == p:
-            for m in range(p * p, size, p):
-                if spf[m] == m:
-                    spf[m] = p
-    _spf = spf
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -33,14 +12,6 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError(f"cannot factorize {n}: positive integer required")
     out: dict[int, int] = {}
-    if n <= _SIEVE_CAP:
-        _sieve(n)
-        spf = _spf
-        while n > 1:
-            p = spf[n]
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        return out
     d = 2
     while d * d <= n:
         while n % d == 0:
@@ -48,8 +19,8 @@ def factorize(n: int) -> dict[int, int]:
             n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return dict(sorted(out.items()))
+        out[n] = 1
+    return out
 
 
 def is_prime(n: int) -> bool:

@@ -126,9 +126,12 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
 
     Candidate indices d are tried in increasing order and each Phi_d is
     divided out to its full multiplicity before moving on, so the output is
-    deterministic.  Only d with euler_phi(d) <= degree(remaining) can divide,
-    and every such d satisfies d <= 2 * degree(remaining)**2, which bounds
-    the search.
+    deterministic.  Only d with euler_phi(d) <= deg, the degree of what
+    remains, can divide, and every such d has d <= deg * bitlen(2 * deg**2),
+    which bounds the search.  Proof: euler_phi(d) >= sqrt(d/2) gives
+    d <= 2 * deg**2.  The distinct primes p_1 < ... < p_w of d have
+    p_i >= i + 1, so euler_phi(d)/d = prod (1 - 1/p_i) >= 1/(w + 1), and
+    2**w <= d gives w + 1 <= bitlen(d) <= bitlen(2 * deg**2).
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -144,7 +147,7 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
         if deg == 0:
             break
         d += 1
-        if d > 2 * deg * deg:
+        if d > deg * (2 * deg * deg).bit_length():
             raise NonCyclotomicFactor(Polynomial(remaining).monic())
         if euler_phi(d) > deg:
             continue

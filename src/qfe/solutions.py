@@ -21,7 +21,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .arith import factorize, is_prime
+from .arith import is_prime
 from .poly import quantum_integer
 from .ratfunc import RationalFunction
 
@@ -42,11 +42,14 @@ class NotASolution(ValueError):
 
 
 def in_support(primes: Iterable[int], n: int) -> bool:
-    """True iff every prime factor of n lies in primes; n = 1 always qualifies."""
+    """True iff every prime factor of n lies in primes; n = 1 always qualifies.
+    Divides the primes out of n, so n itself is never factorized."""
     if n < 1:
         raise ValueError(f"support membership requires n >= 1, got {n}")
-    ps = set(primes)
-    return all(p in ps for p in factorize(n))
+    for p in primes:
+        while p > 1 and n % p == 0:
+            n //= p
+    return n == 1
 
 
 class SolutionSpec:
@@ -138,9 +141,8 @@ def _term(spec: SolutionSpec, n: int) -> RationalFunction:
     cached = spec._terms.get(n)
     if cached is not None:
         return cached
-    primes = factorize(n)
-    if primes.keys() <= spec._generators.keys():
-        p = max(primes)
+    if in_support(spec.primes, n):
+        p = max(p for p in spec.primes if n % p == 0)
         value = _term(spec, n // p) * spec.generator(p).compose_power(n // p)
     else:
         value = RationalFunction.zero()
@@ -158,6 +160,8 @@ def verify_functional_equation(spec: SolutionSpec, m: int, n: int) -> bool:
         raise ValueError("verify requires m, n >= 1")
     fm = synthesize(spec, m)
     fn = synthesize(spec, n)
+    if fm.is_zero or fn.is_zero:
+        return True  # then m*n is outside the support as well
     crossed = fm * fn.compose_power(m)
     return synthesize(spec, m * n) == crossed and crossed == fn * fm.compose_power(n)
 

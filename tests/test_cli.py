@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from qfe.solutions import synthesize
 
 from helpers import spec_257
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 SPEC257 = str(DATA / "spec257.json")
 
@@ -253,6 +257,28 @@ def test_term_degree_bounds_exit_two(capsys, tmp_path):
     code, out, _ = run(capsys, "closed-form", "--structure", linear, "24")
     assert code == 0 and out.startswith("q^23 + q^22")
     assert run(capsys, "synth", "--spec", quantum, "24")[:2] == (0, out)
+
+
+def test_huge_n_off_the_support_answers_at_once(tmp_path):
+    # A prime N far outside the support: the terms are 0 and the law holds
+    # vacuously, without factorizing N or dilating a term by it.
+    huge = "1000000000000000003"
+    structure = tmp_path / "linear.json"
+    lam = {"2": "1", "3": "1"}
+    doc = {"primes": [2, 3], "lambda": lam, "t0": "0", "terms": [{"r": 1, "t": 1}]}
+    structure.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv, expected in (
+        (("closed-form", "--structure", str(structure), huge), "0\n"),
+        (("synth", "--spec", SPEC257, huge), "0\n"),
+        (("verify", "--spec", SPEC257, huge, "2"), "ok\n"),
+        (("verify", "--spec", SPEC257, "2", huge), "ok\n"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "qfe.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=5,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, ""), argv
 
 
 def test_usage_errors_exit_two(capsys):

@@ -215,6 +215,35 @@ class TestCycloFactor:
                 with pytest.raises(NonCyclotomicFactor):
                     cyclo_factor(cyclotomic(rng.randint(1, 8)) * stray)
 
+    def test_scan_is_bounded_by_totient_lemma(self, monkeypatch):
+        # q^64 - q - 1 has no cyclotomic factor, so the whole scan runs:
+        # d = 1 .. 64 * bitlen(2 * 64**2) = 896, not the 2 * 64**2 = 8192
+        # of the cruder bound.
+        scanned = []
+        phi = qfe.cyclo.euler_phi
+
+        def counted(d):
+            scanned.append(d)
+            return phi(d)
+
+        monkeypatch.setattr(qfe.cyclo, "euler_phi", counted)
+        with pytest.raises(NonCyclotomicFactor):
+            cyclo_factor(Polynomial.monomial(64) - P(1, 1))
+        assert 0 < len(scanned) <= 896
+
+
+def test_totient_lemma_bounds_scan():
+    """Every d <= 2n^2 with phi(d) <= n has d <= n * bitlen(2n^2), n <= 200."""
+    limit = 2 * 200**2
+    phi = list(range(limit + 1))  # a totient sieve that shares no code with qfe
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    for n in range(1, 201):
+        reachable = [d for d in range(1, 2 * n * n + 1) if phi[d] <= n]
+        assert max(reachable) <= n * (2 * n * n).bit_length(), n
+
 
 class TestMultisetQuotient:
     def test_from_sixth_cyclotomic(self):

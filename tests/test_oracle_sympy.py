@@ -4,18 +4,21 @@ against sympy.
 sympy shares no code with qfe, so agreement on gcd, division and
 rational-function reduction cross-checks the integer division routine that
 all three run on, and agreement on cyclotomic polynomials and factor lists
-cross-checks the expansion every closed form goes through.  sympy is a
+cross-checks the expansion every closed form goes through.  Standard forms
+of parsed expressions are checked against sympy's cancellation.  sympy is a
 test-only dependency: without it these tests are skipped.
 """
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfe.cyclo import NonCyclotomicFactor, cyclo_factor, cyclotomic
+from qfe.expressions import eval_expr, parse_expr
 from qfe.poly import Polynomial, gcd
 from qfe.ratfunc import RationalFunction
 
@@ -126,3 +129,46 @@ def test_cyclo_factor_matches_factor_list():
             assert fact.factors == expected
             assert fact.qpower == qpower
             assert fact.unit == p.leading
+
+
+def expressions():
+    """Pairs (expression text, the same expression in sympy)."""
+    atoms = st.one_of(
+        st.integers(0, 9).map(lambda k: (str(k), sympy.Integer(k))),
+        st.just(("q", q)),
+        st.tuples(st.integers(1, 4), st.integers(1, 3)).map(
+            lambda nr: (f"qint({nr[0]}, {nr[1]})", sum(q ** (nr[1] * i) for i in range(nr[0])))
+        ),
+    )
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+    def extend(children):
+        binary = st.tuples(children, st.sampled_from(sorted(ops)), children).map(
+            lambda t: (f"({t[0][0]}) {t[1]} ({t[2][0]})", ops[t[1]](t[0][1], t[2][1]))
+        )
+        power = st.tuples(children, st.integers(-2, 3)).map(
+            lambda t: (f"({t[0][0]})^({t[1]})", t[0][1] ** t[1])
+        )
+        return binary | power
+
+    return st.recursive(atoms, extend, max_leaves=8)
+
+
+@given(expressions())
+@settings(max_examples=80, deadline=None)
+def test_standard_form(case):
+    text, expr = case
+    try:
+        value = eval_expr(parse_expr(text))
+    except ZeroDivisionError:
+        assume(False)
+    assume(not value.is_zero)
+    form = value.standard_form()
+    num, den = (sympy.Poly(part, q, domain="QQ") for part in sympy.fraction(sympy.cancel(expr)))
+    # The lowest powers of q in the coprime num and den give the shift.
+    a, b = num.monoms()[-1][0], den.monoms()[-1][0]
+    scale = num.LC() / den.LC()
+    assert form.scale == Fraction(int(scale.p), int(scale.q))
+    assert form.shift == a - b
+    assert form.num == from_sympy(num.exquo(sympy.Poly(q**a, q, domain="QQ")).monic())
+    assert form.den == from_sympy(den.exquo(sympy.Poly(q**b, q, domain="QQ")).monic())
