@@ -1,7 +1,7 @@
 """Small integer number theory: factorization, Moebius, Euler phi, divisors.
 
-Everything rests on ``factorize``: trial division by 2 and the odd numbers
-up to the square root of what is left of n.
+Everything but ``is_prime`` rests on ``factorize``: trial division by 2 and
+the odd numbers up to the square root of what is left of n.
 """
 
 from __future__ import annotations
@@ -23,10 +23,34 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+# The first 13 primes as Miller-Rabin bases decide primality of every n below
+# _MILLER_RABIN_EXACT (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Primality of n: deterministic Miller-Rabin below 3317044064679887385961981,
+    trial division by ``factorize`` above."""
     if n < 2:
         return False
-    return factorize(n) == {n: 1}
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MILLER_RABIN_EXACT:
+        return factorize(n) == {n: 1}
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def moebius(k: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import permutations
 from typing import Sequence
 
 from .cyclo import cyclotomic
@@ -48,16 +49,26 @@ def _require_degree(degree: int, name: str) -> None:
         raise argparse.ArgumentTypeError(f"{name} = {degree} is above MAX_DEGREE = {MAX_DEGREE}")
 
 
+def _generator_degrees(spec: SolutionSpec) -> dict[int, int]:
+    """{p: d_p}, d_p the larger degree of h_p's numerator and denominator."""
+    return {p: max(h.num.degree, h.den.degree) for p, h in spec.generators.items()}
+
+
+def _require_dilations(spec: SolutionSpec) -> None:
+    """Refuse a spec whose compatibility identity, which dilates h_p2 by p1
+    for every pair of primes p1 != p2, asks for a p1 * d_p2 above MAX_DEGREE."""
+    degrees = _generator_degrees(spec)
+    dilated = [p1 * degrees[p2] for p1, p2 in permutations(degrees, 2)]
+    _require_degree(max(dilated, default=0), "largest dilated generator degree")
+
+
 def _require_term_degree(spec: SolutionSpec, *ns: int) -> None:
-    """Refuse each f_n of the support for which (n-1) * max_p d_p/(p-1), with d_p the
-    larger degree of h_p's numerator and denominator, is above MAX_DEGREE.  By
-    induction on f(n) = f(n/p) * h_p(q**(n/p)), that bounds the degrees of f_n."""
+    """Refuse each f_n of the support for which (n-1) * max_p d_p/(p-1) is above
+    MAX_DEGREE.  By induction on f(n) = f(n/p) * h_p(q**(n/p)), that bounds the
+    degrees of f_n."""
     for n in ns:
         if in_support(spec.primes, n):
-            degrees = [
-                (n - 1) * max(h.num.degree, h.den.degree) // (p - 1)
-                for p, h in spec.generators.items()
-            ]
+            degrees = [(n - 1) * d // (p - 1) for p, d in _generator_degrees(spec).items()]
             _require_degree(max(degrees, default=0), f"degree bound of f_{n}")
 
 
@@ -140,6 +151,7 @@ def _cmd_qint(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     spec = load_solution_spec(args.spec)
+    _require_dilations(spec)
     violations = commutativity_violations(spec)
     if args.json:
         print(json.dumps({"commutes": not violations, "violations": [list(v) for v in violations]}))
@@ -152,6 +164,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = load_solution_spec(args.spec)
+    _require_dilations(spec)
     _require_term_degree(spec, args.n)
     text = format_expr(synthesize(spec, args.n))
     _emit(args, text, {"expr": text})
@@ -160,6 +173,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = load_solution_spec(args.spec)
+    _require_dilations(spec)
     # f_M and f_N are synthesized too, and may lie in the support when M*N does not.
     _require_term_degree(spec, args.m * args.n, args.m, args.n)
     holds = verify_functional_equation(spec, args.m, args.n)

@@ -31,7 +31,8 @@ from itertools import accumulate
 from operator import sub
 from typing import Mapping, Sequence
 
-from .arith import divisors, euler_phi, moebius
+from .arith import divisors, euler_phi, factorize, is_prime
+from .arith import moebius  # noqa: F401  (re-exported)
 from .poly import ONE, Polynomial, _int_divmod, _int_primitive, _make
 from .ratfunc import RationalFunction
 
@@ -76,22 +77,33 @@ class CyclotomicFactorization:
 
 
 def _moebius_table(exponents: Mapping[int, int]) -> Counter[int]:
-    """The signed table {j: a} with prod Phi_d**m == prod (q**j - 1)**a."""
+    """The signed table {j: a} with prod Phi_d**m == prod (q**j - 1)**a.
+
+    The terms of Phi_d are (q**(d/s) - 1)**moebius(s) over the squarefree
+    s | d, built prime by prime from one factorization of d.
+    """
     table: Counter[int] = Counter()
     for d, m in exponents.items():
-        table.update({j: m * moebius(d // j) for j in divisors(d)})
+        terms = [(d, m)]
+        for p in factorize(d):
+            terms += [(j // p, -a) for j, a in terms]
+        table.update(dict(terms))
     return table
 
 
 def _cyclotomic_product(exponents: Mapping[int, int]) -> Polynomial:
-    """prod Phi_d**e over the positive entries e of exponents.
+    """prod Phi_d**e over the positive entries e of exponents."""
+    return _expand(_moebius_table({d: e for d, e in exponents.items() if e > 0}))
 
-    Expands (-1)**sum(a) * prod (1 - q**j)**a over the ``_moebius_table`` in
-    integer power series cut after its known degree, where each 1 - q**j is
-    a unit: multiplying is c[i] -= c[i - j], dividing the running sum
-    c[i] += c[i - j] (Arnold and Monagan, Math. Comp. 80 (2011)).
+
+def _expand(table: Mapping[int, int]) -> Polynomial:
+    """prod (q**j - 1)**a over a signed table whose product is a polynomial.
+
+    Expands (-1)**sum(a) * prod (1 - q**j)**a in integer power series cut
+    after its known degree, where each 1 - q**j is a unit: multiplying is
+    c[i] -= c[i - j], dividing the running sum c[i] += c[i - j] (Arnold and
+    Monagan, Math. Comp. 80 (2011)).
     """
-    table = _moebius_table({d: e for d, e in exponents.items() if e > 0})
     c = [1] + [0] * sum(j * a for j, a in table.items())
     for j, a in table.items():
         for _ in range(a):
@@ -120,6 +132,36 @@ def _exact_int_div(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
     return quot if s == 1 and not rem else None
 
 
+@lru_cache(maxsize=None)
+def _root(d: int) -> tuple[int, int]:
+    """(ell, w): the smallest prime ell = 1 (mod d) above 2**31, and
+    w = g**((ell - 1)/d) of exact order d in GF(ell) for the least g >= 2."""
+    ell = 2**31 // d * d + 1
+    if ell <= 2**31:
+        ell += d
+    while not is_prime(ell):
+        ell += d
+    primes = factorize(d)
+    g = 1
+    while True:
+        g += 1
+        w = pow(g, (ell - 1) // d, ell)
+        if all(pow(w, d // p, ell) != 1 for p in primes):
+            return ell, w
+
+
+def _vanishes_at_root(c: Sequence[int], d: int) -> bool:
+    """Whether the integer polynomial c vanishes mod ell at the root w of
+    ``_root(d)``; folds c mod q**d - 1 first, since w**d == 1."""
+    ell, w = _root(d)
+    if d < len(c):
+        c = [sum(c[r::d]) for r in range(d)]
+    acc = 0
+    for a in reversed(c):
+        acc = (acc * w + a) % ell
+    return acc == 0
+
+
 def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     """Factor p as unit * q**a * prod Phi_d**m exactly, or raise
     NonCyclotomicFactor carrying the residual.
@@ -132,6 +174,13 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     d <= 2 * deg**2.  The distinct primes p_1 < ... < p_w of d have
     p_i >= i + 1, so euler_phi(d)/d = prod (1 - 1/p_i) >= 1/(w + 1), and
     2**w <= d gives w + 1 <= bitlen(d) <= bitlen(2 * deg**2).
+
+    A trial division by Phi_d runs only when what remains vanishes mod a
+    prime ell = 1 (mod d) at w, an element of exact order d in GF(ell)
+    (Bradford and Davenport, ISSAC '88).  The screen is sound: w is a root
+    of Phi_d mod ell, so if Phi_d divides f over the integers then f(w) = 0
+    mod ell.  A false pass costs one failing division and never changes the
+    output.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -151,15 +200,12 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
             raise NonCyclotomicFactor(Polynomial(remaining).monic())
         if euler_phi(d) > deg:
             continue
-        phi = cyclotomic(d)._ints
-        while True:
-            quotient = _exact_int_div(remaining, phi)
+        while _vanishes_at_root(remaining, d):
+            quotient = _exact_int_div(remaining, cyclotomic(d)._ints)
             if quotient is None:
                 break
             factors[d] = factors.get(d, 0) + 1
             remaining = quotient
-            if len(remaining) - 1 < len(phi) - 1:
-                break
     return CyclotomicFactorization(unit=body.leading, qpower=qpower, factors=factors)
 
 
@@ -224,13 +270,18 @@ class MultisetQuotient:
     def value(self) -> RationalFunction:
         """Expand the quotient exactly.
 
-        Expansion goes through net cyclotomic exponents, which yields an
-        already-coprime numerator and denominator.
+        The net cyclotomic exponents split the quotient into coprime parts:
+        the numerator is their positive part, and the denominator's table is
+        the numerator's minus this one.
         """
+        table = self.exponents()
         net: Counter[int] = Counter()
-        for k, e in self.exponents().items():
+        for k, e in table.items():
             net.update(dict.fromkeys(divisors(k), e))
-        return RationalFunction._reduced(_cyclotomic_product(net), _cyclotomic_product(-net))
+        num = _moebius_table(+net)
+        den = num.copy()
+        den.subtract(table)
+        return RationalFunction._reduced(_expand(num), _expand(den))
 
 
 def as_multiset_quotient(num: Polynomial, den: Polynomial) -> MultisetQuotient:

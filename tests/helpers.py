@@ -4,9 +4,12 @@ The oracles here deliberately take different routes than the library code:
 compositions go through Horner evaluation in the polynomial ring, cyclotomic
 polynomials through the Moebius product over q**d - 1, Moebius values
 through naive squarefree inspection, and closed forms through dense
-quantum-integer products reduced by a gcd.  Two are earlier designs of
+quantum-integer products reduced by a gcd.  Four are earlier designs of
 library routines, kept as references: ``peel_greedy`` removes one
-quantum-integer factor per round, and ``term_by_fold`` folds prime powers.
+quantum-integer factor per round, ``term_by_fold`` folds prime powers,
+``cyclo_factor_by_scan`` trial-divides by every candidate Phi_d, and
+``multiset_value_by_two_products`` expands both sides of a quotient by
+their own Moebius transform.
 """
 
 from __future__ import annotations
@@ -17,17 +20,21 @@ from fractions import Fraction
 
 from qfe import (
     ONE,
+    CyclotomicFactorization,
     MultisetQuotient,
+    NonCyclotomicFactor,
     Polynomial,
     RationalFunction,
     SolutionSpec,
     StructureData,
     eval_expr,
     parse_expr,
+    cyclotomic,
     q_power_minus_one,
 )
-from qfe.arith import divisors, factorize
-from qfe.poly import quantum_integer
+from qfe.arith import divisors, euler_phi, factorize
+from qfe.cyclo import _cyclotomic_product
+from qfe.poly import _int_divmod, _int_primitive, quantum_integer
 from qfe.solutions import NotASolution, _term, in_support
 from qfe.structure import scale_at
 
@@ -229,3 +236,40 @@ def term_by_fold(spec: SolutionSpec, n: int) -> RationalFunction:
         value = value * block.compose_power(m)
         m *= p**a
     return value
+
+
+def cyclo_factor_by_scan(p: Polynomial) -> CyclotomicFactorization:
+    """cyclo_factor without its root-of-unity screen: every Phi_d with
+    euler_phi(d) <= deg, d <= deg * bitlen(2 * deg**2), in increasing d, is
+    divided out of the primitive integer part by trial to its multiplicity."""
+    if p.is_zero:
+        raise ValueError("cannot factor the zero polynomial")
+    qpower = p.valuation()
+    body = p.shift(-qpower) if qpower else p
+    remaining = _int_primitive(body._ints)
+    factors: dict[int, int] = {}
+    d = 0
+    while len(remaining) > 1:
+        deg = len(remaining) - 1
+        d += 1
+        if d > deg * (2 * deg * deg).bit_length():
+            raise NonCyclotomicFactor(Polynomial(remaining).monic())
+        if euler_phi(d) > deg:
+            continue
+        phi = cyclotomic(d)._ints
+        while len(remaining) >= len(phi):
+            quotient, rem, s = _int_divmod(remaining, phi)
+            if s != 1 or rem:
+                break
+            factors[d] = factors.get(d, 0) + 1
+            remaining = quotient
+    return CyclotomicFactorization(unit=body.leading, qpower=qpower, factors=factors)
+
+
+def multiset_value_by_two_products(mq: MultisetQuotient) -> RationalFunction:
+    """MultisetQuotient.value through the net Phi_d exponents, with the
+    numerator and the denominator each expanded from its own Moebius table."""
+    net: Counter[int] = Counter()
+    for k, e in mq.exponents().items():
+        net.update(dict.fromkeys(divisors(k), e))
+    return RationalFunction._reduced(_cyclotomic_product(net), _cyclotomic_product(-net))

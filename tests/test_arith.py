@@ -1,6 +1,7 @@
+import time
 from math import isqrt, prod
 
-from qfe.arith import factorize
+from qfe.arith import factorize, is_prime
 
 
 def test_factorize_reassembles_into_ascending_primes():
@@ -10,3 +11,21 @@ def test_factorize_reassembles_into_ascending_primes():
         assert list(f) == sorted(f), n
         assert all(p > 1 and all(p % k for k in range(2, isqrt(p) + 1)) for p in f), n
         assert prod(p**e for p, e in f.items()) == n
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(-2, 10**5):
+        assert is_prime(n) == (n > 1 and all(n % k for k in range(2, isqrt(n) + 1))), n
+
+
+def test_is_prime_strong_pseudoprimes_are_composite():
+    # Strong pseudoprimes to every prime base up to 7, up to 31 and up to 37.
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+
+
+def test_is_prime_on_a_64_bit_prime_answers_at_once():
+    start = time.perf_counter()
+    assert is_prime(10**18 + 3)
+    assert not is_prime((10**18 + 3) * 3)
+    assert time.perf_counter() - start < 0.5

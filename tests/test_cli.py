@@ -281,6 +281,25 @@ def test_huge_n_off_the_support_answers_at_once(tmp_path):
         assert (done.returncode, done.stdout, done.stderr) == (0, expected, ""), argv
 
 
+def test_commutativity_check_refuses_dilations_above_max_degree(tmp_path):
+    # The pair (2, 10**18 + 3) would dilate h_2 by 10**18 + 3 in the
+    # compatibility identity that check, synth and verify all run; the
+    # loader's primality test and the degree bound both answer at once.
+    huge = "1000000000000000003"
+    spec = tmp_path / "huge.json"
+    doc = {"primes": [2, int(huge)], "generators": {"2": "1 + q", huge: "1"}}
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv in (("check",), ("synth", "2"), ("verify", "2", "2")):
+        done = subprocess.run(
+            [sys.executable, "-m", "qfe.cli", *argv, "--spec", str(spec)],
+            env=env, capture_output=True, text=True, timeout=5,
+        )
+        assert done.returncode == 2, argv
+        assert done.stdout == "", argv
+        assert "MAX_DEGREE" in done.stderr and "Traceback" not in done.stderr, argv
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "cyclo", "0")[0] == 2
     assert run(capsys, "cyclo")[0] == 2

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
@@ -22,8 +23,10 @@ from qfe.ratfunc import RationalFunction
 from qfe.structure import closed_form
 
 from helpers import (
+    cyclo_factor_by_scan,
     cyclotomic_by_moebius,
     moebius_brute,
+    multiset_value_by_two_products,
     power_product,
     random_multiset_pair,
     random_structure_data,
@@ -334,3 +337,98 @@ class TestMultisetQuotient:
             value = mq.value()
             back = as_multiset_quotient(value.num, value.den)
             assert not (set(back.num) & set(back.den))
+
+
+LEHMER = P(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+
+
+def factor_outcome(factor, p):
+    """(unit, qpower, factors in scan order) or the residual of a rejection."""
+    try:
+        fact = factor(p)
+    except NonCyclotomicFactor as exc:
+        return ("residual", exc.residual)
+    return (fact.unit, fact.qpower, list(fact.factors.items()))
+
+
+def random_factor_input(rng):
+    """unit * q**a * Phi_1**e1 * Phi_2**e2 * prod Phi_d**m * cofactor, where the
+    cofactor is 1, a non-monic integer polynomial, a non-cyclotomic monic one,
+    or one with fractional coefficients."""
+    factors = {d: rng.randint(1, 3) for d in rng.sample(range(3, 25), rng.randint(0, 3))}
+    factors.update({d: e for d in (1, 2) if (e := rng.randint(0, 3))})
+    built = CyclotomicFactorization(
+        unit=Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3])),
+        qpower=rng.choice([0, 0, 1, 3]),
+        factors=factors,
+    )
+    cofactor = rng.choice([
+        ONE,
+        ONE,
+        ONE,
+        P(rng.choice([-3, -2, 2, 3]), *[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))], 2),
+        P(-1, -1, 1),
+        P(1, *[rng.randint(-2, 2) for _ in range(rng.randint(1, 4))], 1),
+        P(Fraction(1, 2), 0, 1),
+    ])
+    return built.value() * cofactor
+
+
+def test_screened_factorization_matches_unscreened_scan():
+    rng = random.Random(909)
+    for _ in range(500):
+        p = random_factor_input(rng)
+        assert factor_outcome(cyclo_factor, p) == factor_outcome(cyclo_factor_by_scan, p), p
+
+
+def test_trial_divisions_only_for_true_factors(monkeypatch):
+    divisions = []
+    exact_div = qfe.cyclo._exact_int_div
+
+    def counted(a, b):
+        divisions.append(b)
+        return exact_div(a, b)
+
+    monkeypatch.setattr(qfe.cyclo, "_exact_int_div", counted)
+    rng = random.Random(77)
+    for _ in range(100):
+        factors = {d: rng.randint(1, 3) for d in rng.sample(range(1, 40), rng.randint(0, 5))}
+        built = CyclotomicFactorization(Fraction(rng.choice([-2, 1, 3])), rng.randint(0, 2), factors)
+        divisions.clear()
+        assert cyclo_factor(built.value()) == built
+        assert len(divisions) == sum(factors.values())
+    for stubborn in (Polynomial.monomial(64) - P(1, 1), LEHMER.compose_power(4)):
+        divisions.clear()
+        with pytest.raises(NonCyclotomicFactor):
+            cyclo_factor(stubborn)
+        assert divisions == []
+
+
+def test_screen_roots_have_exact_order():
+    """_root(d) is the smallest prime ell = 1 (mod d) above 2**31, and w has
+    exact order d in GF(ell); primality by trial division, d <= 2000."""
+    sieve = [True] * 2**16
+    for k in range(2, 2**8):
+        sieve[k * k :: k] = [False] * len(sieve[k * k :: k])
+    small = [p for p in range(2, 2**16) if sieve[p]]
+    primorial = prod(small)
+
+    def prime(n):  # 2**16 < n < 2**32 with no prime factor below 2**16
+        return all(n % p for p in small[:100]) and gcd(n, primorial) == 1
+
+    for d in range(1, 2001):
+        ell, w = qfe.cyclo._root(d)
+        assert 2**31 < ell < 2**32 and (ell - 1) % d == 0, d
+        assert prime(ell), d
+        assert not any(prime(m) for m in range(ell - d, 2**31, -d)), d
+        assert pow(w, d, ell) == 1, d
+        assert all(pow(w, d // p, ell) != 1 for p in small if d % p == 0), d
+
+
+def test_value_matches_two_product_route():
+    rng = random.Random(2024)
+    for _ in range(200):
+        mq = random_multiset_pair(rng, max_index=30, max_mult=3)
+        value = mq.value()
+        expected = multiset_value_by_two_products(mq)
+        assert (value.num, value.den) == (expected.num, expected.den), mq
