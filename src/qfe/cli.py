@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from itertools import permutations
-from typing import Sequence
 
 from .cyclo import cyclotomic
 from .documents import (

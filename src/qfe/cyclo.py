@@ -24,13 +24,13 @@ dilation, expansion) that the structure classification runs on.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import sub
-from typing import Mapping, Sequence
 
+from ._value import _Value
 from .arith import divisors, euler_phi, factorize, is_prime
 from .arith import moebius  # noqa: F401  (re-exported)
 from .poly import ONE, Polynomial, _int_divmod, _int_primitive, _make
@@ -63,10 +63,10 @@ def cyclotomic(k: int) -> Polynomial:
     return _cyclotomic_product({k: 1})
 
 
-@dataclass(frozen=True)
-class CyclotomicFactorization:
+class CyclotomicFactorization(_Value):
     """Exact factorization unit * q**qpower * prod Phi_d**factors[d]."""
 
+    __slots__ = ("unit", "qpower", "factors")
     unit: Fraction
     qpower: int
     factors: dict[int, int]
@@ -206,11 +206,10 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
                 break
             factors[d] = factors.get(d, 0) + 1
             remaining = quotient
-    return CyclotomicFactorization(unit=body.leading, qpower=qpower, factors=factors)
+    return CyclotomicFactorization(body.leading, qpower, factors)
 
 
-@dataclass(frozen=True)
-class MultisetQuotient:
+class MultisetQuotient(_Value):
     """Disjoint multisets of indices representing
     prod (q**u - 1) over num / prod (q**v - 1) over den, or equivalently
     the signed table {k: e} of ``exponents`` (num positive, den negative).
@@ -220,23 +219,21 @@ class MultisetQuotient:
     product 1.
     """
 
-    num: dict[int, int] = field(default_factory=dict)
-    den: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        for side, name in ((self.num, "num"), (self.den, "den")):
+    def __init__(self, num: Mapping[int, int] = {}, den: Mapping[int, int] = {}):
+        for side, name in ((num, "num"), (den, "den")):
             for k, m in side.items():
                 if k < 1 or m < 1:
                     raise ValueError(
                         f"{name} requires positive indices and multiplicities, "
                         f"got {k}: {m}"
                     )
-        common = self.num.keys() & self.den.keys()
+        common = num.keys() & den.keys()
         if common:
             raise ValueError(f"num and den must be disjoint; both contain {sorted(common)}")
         # Defensive copies: the value must stay immutable once constructed.
-        object.__setattr__(self, "num", dict(self.num))
-        object.__setattr__(self, "den", dict(self.den))
+        super().__init__(dict(num), dict(den))
 
     @classmethod
     def from_exponents(cls, table: Mapping[int, int]) -> "MultisetQuotient":

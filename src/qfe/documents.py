@@ -20,9 +20,9 @@ being silently ignored.
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
-from pathlib import Path
 
 from .expressions import ParseError, eval_expr, format_expr, parse_expr
 from .solutions import SolutionSpec
@@ -158,20 +158,19 @@ def structure_data_to_dict(sd: StructureData) -> dict:
     }
 
 
-def _load_json(path: "str | Path") -> dict:
+def _load_json(path: str | os.PathLike) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
+        with open(path, encoding="utf-8") as file:
+            return json.load(file)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from exc
 
 
-def load_solution_spec(path: "str | Path") -> SolutionSpec:
+def load_solution_spec(path: str | os.PathLike) -> SolutionSpec:
     return solution_spec_from_dict(_load_json(path))
 
 
-def load_structure_data(path: "str | Path") -> StructureData:
+def load_structure_data(path: str | os.PathLike) -> StructureData:
     return structure_data_from_dict(_load_json(path))

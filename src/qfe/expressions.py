@@ -25,10 +25,9 @@ parses back to the same function.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
+from ._value import _Value
 from .poly import Polynomial, quantum_integer
 from .ratfunc import RationalFunction
 
@@ -52,68 +51,68 @@ class ParseError(ValueError):
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Number:
+class Number(_Value):
+    __slots__ = ("value",)
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Variable:
-    pass
+class Variable(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuantumInteger:
+class QuantumInteger(_Value):
+    __slots__ = ("n", "r")
+    _defaults = {"r": 1}
     n: int
-    r: int = 1
+    r: int
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Neg(_Value):
+    __slots__ = ("operand",)
+    operand: Expr
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-    position: int = field(default=0, compare=False)  # offset of the operator
+class Add(_Value):
+    __slots__ = ("left", "right", "position")
+    left: Expr
+    right: Expr
+    position: int  # offset of the operator
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-    position: int = field(default=0, compare=False)  # offset of the operator
+class Sub(_Value):
+    __slots__ = ("left", "right", "position")
+    left: Expr
+    right: Expr
+    position: int  # offset of the operator
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-    position: int = field(default=0, compare=False)  # offset of the operator
+class Mul(_Value):
+    __slots__ = ("left", "right", "position")
+    left: Expr
+    right: Expr
+    position: int  # offset of the operator
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
-    position: int = field(default=0, compare=False)  # offset of the operator
+class Div(_Value):
+    __slots__ = ("left", "right", "position")
+    left: Expr
+    right: Expr
+    position: int  # offset of the operator
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
+class Pow(_Value):
+    __slots__ = ("base", "exponent", "position")
+    base: Expr
     exponent: int
-    position: int = field(default=0, compare=False)  # offset of the '^'
+    position: int  # offset of the '^'
 
 
-@dataclass(frozen=True)
-class Group:
-    inner: "Expr"
+class Group(_Value):
+    __slots__ = ("inner",)
+    inner: Expr
 
 
-Expr = Union[Number, Variable, QuantumInteger, Neg, Add, Sub, Mul, Div, Pow, Group]
+Expr = Number | Variable | QuantumInteger | Neg | Add | Sub | Mul | Div | Pow | Group
 
 
 # -- tokenizer ----------------------------------------------------------------

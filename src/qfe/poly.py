@@ -18,12 +18,12 @@ shared freely between threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd as _igcd
 from math import lcm as _lcm
-from typing import Iterable, Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 #: Degree of the zero polynomial; compares below every integer.
 NEG_INFINITY = float("-inf")

@@ -16,9 +16,9 @@ classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import _Value
 from .poly import ONE, ZERO, Polynomial, Scalar, gcd
 
 
@@ -221,27 +221,24 @@ def _coerce_rf(value: "RationalFunction | Polynomial | Scalar") -> RationalFunct
     return NotImplemented  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(_Value):
     """The unique decomposition scale * q**shift * num/den of a nonzero
     rational function, with num, den monic, coprime, and nonzero at 0."""
 
-    scale: Fraction
-    shift: int
-    num: Polynomial
-    den: Polynomial
+    __slots__ = ("scale", "shift", "num", "den")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        if not self.scale:
+    def __init__(self, scale: Scalar, shift: int, num: Polynomial, den: Polynomial):
+        scale = Fraction(scale)
+        if not scale:
             raise ValueError("standard form requires a nonzero scale")
-        for part, name in ((self.num, "num"), (self.den, "den")):
+        for part, name in ((num, "num"), (den, "den")):
             if not part.is_monic:
                 raise ValueError(f"standard form {name} must be monic")
             if not part.constant_term:
                 raise ValueError(f"standard form {name} must be nonzero at 0")
-        if gcd(self.num, self.den).degree > 0:
+        if gcd(num, den).degree > 0:
             raise ValueError("standard form num and den must be coprime")
+        super().__init__(scale, shift, num, den)
 
     def value(self) -> RationalFunction:
         """Reassemble the rational function exactly."""

@@ -17,9 +17,9 @@ were serialized.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .arith import is_prime
 from .poly import quantum_integer

@@ -18,10 +18,11 @@ the smallest prime and checks the result against every prime.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import combinations
 
+from ._value import _Value
 from .arith import factorize, is_prime
 from .cyclo import MultisetQuotient, NonCyclotomicFactor, as_multiset_quotient
 from .ratfunc import RationalFunction, StandardForm, _assemble
@@ -40,8 +41,7 @@ def validate_shift(primes: tuple[int, ...], shift: Fraction) -> bool:
     return all((p - 1) % shift.denominator == 0 for p in primes)
 
 
-@dataclass(frozen=True)
-class StructureData:
+class StructureData(_Value):
     """The classification data of a solution over at least two primes.
 
     scales maps each prime to the (nonzero) value of the multiplicative
@@ -49,36 +49,30 @@ class StructureData:
     exponent of [n]_{q**r}.
     """
 
-    primes: tuple[int, ...]
-    scales: dict[int, Fraction]
-    shift: Fraction
-    exponents: dict[int, int]
+    __slots__ = ("primes", "scales", "shift", "exponents")
 
-    def __post_init__(self) -> None:
-        primes = tuple(self.primes)
-        object.__setattr__(self, "primes", primes)
+    def __init__(self, primes: Iterable[int], scales: Mapping[int, Fraction],
+                 shift: Fraction, exponents: Mapping[int, int]):
+        primes = tuple(primes)
         if len(primes) < 2:
             raise TooFewPrimes(f"need at least two primes, got {list(primes)}")
         if list(primes) != sorted(set(primes)) or not all(is_prime(p) for p in primes):
             raise ValueError(f"primes must be strictly increasing primes: {list(primes)}")
-        scales = {p: Fraction(v) for p, v in self.scales.items()}
-        object.__setattr__(self, "scales", scales)
+        scales = {p: Fraction(v) for p, v in scales.items()}
         if set(scales) != set(primes):
             raise ValueError("scales must be given exactly on the primes")
         if any(not v for v in scales.values()):
             raise ValueError("scales must be nonzero")
-        object.__setattr__(self, "shift", Fraction(self.shift))
-        if not validate_shift(primes, self.shift):
-            raise ValueError(
-                f"shift {self.shift} is not integral on the support of {list(primes)}"
-            )
-        exponents = dict(self.exponents)
-        object.__setattr__(self, "exponents", exponents)
+        shift = Fraction(shift)
+        if not validate_shift(primes, shift):
+            raise ValueError(f"shift {shift} is not integral on the support of {list(primes)}")
+        exponents = dict(exponents)
         for r, t in exponents.items():
             if r < 1:
                 raise ValueError(f"exponent key {r} must be a positive integer")
             if t == 0:
                 raise ValueError(f"exponent for r={r} must be nonzero")
+        super().__init__(primes, scales, shift, exponents)
 
 
 def scale_at(sd: StructureData, n: int) -> Fraction:

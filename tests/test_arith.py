@@ -1,3 +1,4 @@
+import random
 import time
 from math import isqrt, prod
 
@@ -29,3 +30,19 @@ def test_is_prime_on_a_64_bit_prime_answers_at_once():
     assert is_prime(10**18 + 3)
     assert not is_prime((10**18 + 3) * 3)
     assert time.perf_counter() - start < 0.5
+
+
+def test_is_prime_with_four_bases_agrees_with_factorize():
+    # Below 3215031751 only the bases 2, 3, 5 and 7 run.
+    rng = random.Random(10)
+    sample = [rng.randrange(2**31, 3215031751) for _ in range(300)]
+    sample += range(2**31 + 1, 2**31 + 1000, 2)
+    sample += range(3215031751 - 1000, 3215031751)
+    for n in sample:
+        assert is_prime(n) == (factorize(n) == {n: 1}), n
+
+
+def test_is_prime_strong_pseudoprimes_to_bases_2_3_5_are_composite():
+    # Base 7 exposes these; 3215031751 passes 2, 3, 5 and 7 and needs 11.
+    for n in (25326001, 161304001, 960946321, 1157839381, 3215031751):
+        assert not is_prime(n), n

@@ -320,3 +320,30 @@ def test_byte_identical_reruns(capsys):
     third = run(capsys, "synth", "--spec", SPEC257, "70")
     fourth = run(capsys, "synth", "--spec", SPEC257, "70")
     assert third == fourth
+
+
+def test_unreadable_spec_exits_two_without_traceback(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"primes": [2, 3], "generators": {"2": "\xe9"}}'.encode("latin-1"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for path in (bad, tmp_path / "absent.json"):
+        done = subprocess.run(
+            [sys.executable, "-m", "qfe.cli", "decompose", "--spec", str(path)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 2, path
+        assert done.stdout == "", path
+        assert done.stderr.startswith(f"error: cannot read {path}: "), path
+        assert "Traceback" not in done.stderr, path
+
+
+def test_cli_imports_no_dataclasses_typing_inspect_or_pathlib():
+    # Each CLI call is a fresh process, so what qfe.cli imports is paid every time.
+    heavy = ("dataclasses", "typing", "inspect", "pathlib")
+    code = f"import qfe.cli, sys; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=30, check=True,
+    )
+    assert done.stdout == "[]\n"

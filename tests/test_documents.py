@@ -107,6 +107,13 @@ class TestSolutionSpecDocuments:
         with pytest.raises(DocumentError, match="cannot read"):
             load_solution_spec(tmp_path / "absent.json")
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"primes": [2, 3], "generators": {"2": "\xe9"}}'.encode("latin-1"))
+        for given in (path, str(path)):
+            with pytest.raises(DocumentError, match="cannot read .*utf-8"):
+                load_solution_spec(given)
+
 
 class TestStructureDocuments:
     def test_from_dict(self):
