@@ -25,6 +25,7 @@ import re
 from fractions import Fraction
 
 from .expressions import ParseError, eval_expr, format_expr, parse_expr
+from .poly import _scalar_str
 from .solutions import SolutionSpec
 from .structure import StructureData, TooFewPrimes
 
@@ -56,11 +57,14 @@ def parse_rational(text: str) -> Fraction:
         raise DocumentError(f"malformed rational {text!r}; use 'a' or 'a/b'")
     if match.group(2) == "0":
         raise DocumentError(f"zero denominator in rational {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # past the interpreter's int-from-str digit limit
+        raise DocumentError(f"rational of {len(text)} characters has too many digits") from None
 
 
 def format_rational(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else str(value)
+    return _scalar_str(value)
 
 
 def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
@@ -166,6 +170,8 @@ def _load_json(path: str | os.PathLike) -> dict:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's int-from-str digit limit
+        raise DocumentError(f"{path} holds an integer with too many digits") from exc
 
 
 def load_solution_spec(path: str | os.PathLike) -> SolutionSpec:

@@ -147,6 +147,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _int(digits: str, pos: int) -> int:
+    """The value of an integer token; a ParseError at its offset past the
+    interpreter's int-from-str digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -223,7 +232,7 @@ class _Parser:
         kind, value, pos = tok
         if kind == "int":
             self.advance()
-            head = int(value)
+            head = _int(value, pos)
         elif kind == "sym" and value == "(":
             self.advance()
             inner = self.nested(pos, self.expr)
@@ -258,7 +267,7 @@ class _Parser:
         tok = self.advance()
         kind, value, pos = tok
         if kind == "int":
-            return Number(Fraction(int(value)))
+            return Number(Fraction(_int(value, pos)))
         if kind == "name":
             if value == "q":
                 return Variable()
@@ -289,7 +298,7 @@ class _Parser:
             pos = tok[2] if tok else len(self.text)
             raise ParseError("expected a positive integer literal", pos)
         self.advance()
-        value = int(tok[1])
+        value = _int(tok[1], tok[2])
         if value < 1:
             raise ParseError("expected a positive integer literal", tok[2])
         return value

@@ -106,10 +106,10 @@ class Polynomial:
             sign = "-" if c < 0 else "+"
             mag = Fraction(abs(c), self._den)
             if k == 0:
-                body = str(mag)
+                body = _scalar_str(mag)
             else:
                 power = "q" if k == 1 else f"q^{k}"
-                body = power if mag == 1 else f"{mag}*{power}"
+                body = power if mag == 1 else f"{_scalar_str(mag)}*{power}"
             parts.append((sign, body))
         head_sign, head = parts[0]
         text = head if head_sign == "+" else "-" + head
@@ -252,6 +252,20 @@ class Polynomial:
             if c:
                 return i
         raise ValueError("the zero polynomial has no valuation")
+
+
+def _scalar_str(value: Scalar) -> str:
+    """str(value) in full, however many digits.  The interpreter refuses
+    str() of an int past its digit limit, which stays in force because it
+    guards parsing; only then does the value print through ``decimal``."""
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal
+
+        value = Fraction(value)
+        text = str(Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 def _make(ints: list[int], den: int = 1) -> Polynomial:

@@ -190,8 +190,8 @@ class RationalFunction:
     # -- normal form -----------------------------------------------------
 
     def standard_form(self) -> "StandardForm":
-        """Split into scale * q**shift * num/den with monic coprime num, den
-        that have nonzero constant terms.  Unique; undefined for zero."""
+        """Split into scale * q**shift * num/den, num and den monic, coprime and
+        nonzero at 0 by construction, so unchecked.  Unique; undefined for zero."""
         if self.is_zero:
             raise ValueError("the zero function has no standard form")
         # num and den are coprime, so at most one is divisible by q.
@@ -199,8 +199,9 @@ class RationalFunction:
         b = self._den.valuation()
         num = self._num.shift(-a) if a else self._num
         den = self._den.shift(-b) if b else self._den
-        scale = num.leading
-        return StandardForm(scale=scale, shift=a - b, num=num.monic(), den=den)
+        form = object.__new__(StandardForm)
+        _Value.__init__(form, num.leading, a - b, num.monic(), den)
+        return form
 
 
 def _assemble(scale: Fraction, shift: int, num: Polynomial, den: Polynomial) -> RationalFunction:

@@ -33,7 +33,10 @@ class NotASolution(ValueError):
       'commutativity'   a generator pair violates the compatibility identity
       'non-cyclotomic'  a generator has a zero or pole off {0, roots of unity}
       'shift'           the q-power exponents of the generators are inconsistent
-      'peeling'         the quantum-integer extraction cannot proceed
+      'peeling'         the quantum-integer extraction cannot proceed; only
+                        ``structure._peel`` called directly raises it: when it
+                        fails in ``decompose``, some pair violates the identity
+                        and is named instead
     """
 
     def __init__(self, reason: str, message: str):
@@ -96,9 +99,9 @@ def commutativity_violations(spec: SolutionSpec) -> tuple[tuple[int, int], ...]:
     """
     if spec._violations is None:
         bad = []
-        for p1, p2 in combinations(spec.primes, 2):
-            h1, h2 = spec.generator(p1), spec.generator(p2)
-            if h1 * h2.compose_power(p1) != h2 * h1.compose_power(p2):
+        for (p1, h1), (p2, h2) in combinations(spec.generators.items(), 2):
+            g1, g2 = h1.compose_power(p2), h2.compose_power(p1)
+            if h1.num * g2.num * h2.den * g1.den != h2.num * g1.num * h1.den * g2.den:
                 bad.append((p1, p2))
         spec._violations = tuple(bad)
     return spec._violations
@@ -127,7 +130,7 @@ def synthesize(spec: SolutionSpec, n: int) -> RationalFunction:
 
     Returns 0 outside the support and 1 at n = 1.  Otherwise, with p the
     largest prime factor of n, the multiplication law at (n/p, p) gives
-    f(n) = f(n/p) * h_p(q**(n/p)), applied recursively on memoized terms.
+    f(n) = f(n/p) * h_p(q**(n/p)), applied down to the nearest memoized term.
 
     Raises NotASolution if the generators fail the compatibility check.
     """
@@ -138,15 +141,20 @@ def synthesize(spec: SolutionSpec, n: int) -> RationalFunction:
 
 
 def _term(spec: SolutionSpec, n: int) -> RationalFunction:
-    cached = spec._terms.get(n)
-    if cached is not None:
-        return cached
-    if in_support(spec.primes, n):
+    """f_n by the fold of ``synthesize``: walk n -> n/p down to the nearest
+    memoized term, then multiply back up, memoizing each step.  A loop, not
+    recursion, so n may have any number of prime factors."""
+    terms = spec._terms
+    if n not in terms and not in_support(spec.primes, n):
+        terms[n] = RationalFunction.zero()
+    steps = []
+    while n not in terms:
         p = max(p for p in spec.primes if n % p == 0)
-        value = _term(spec, n // p) * spec.generator(p).compose_power(n // p)
-    else:
-        value = RationalFunction.zero()
-    spec._terms[n] = value
+        steps.append((n, p))
+        n //= p
+    value = terms[n]
+    for m, p in reversed(steps):
+        value = terms[m] = value * spec.generator(p).compose_power(m // p)
     return value
 
 

@@ -11,8 +11,8 @@ runs over a finite exponent table.  ``StructureData`` holds that data.
 As [n]_{q**r} = (q**(r*n) - 1) / (q**r - 1), the rest is gcd-free algebra on
 signed tables of q**k - 1 exponents (``MultisetQuotient``).  One builder,
 ``_quantum_table``, gives the table {r*n: +t, r: -t} at n: ``closed_form``
-expands it, and ``decompose`` compares table products, then inverts it at
-the smallest prime and checks the result against every prime.
+expands it, and ``decompose`` inverts it at the smallest prime, checks the
+result against every prime, and compares table products only to name pairs.
 """
 
 from __future__ import annotations
@@ -118,12 +118,12 @@ def decompose(spec: SolutionSpec) -> StructureData:
       3. each num/den pair converts to its multiset quotient, else
          NotASolution('non-cyclotomic') -- the generator has a zero or pole
          that is neither 0 nor a root of unity, so no solution contains it;
-      4. the pairwise compatibility identity, else NotASolution('commutativity'),
-         as M_a * dilate(M_b, a) == M_b * dilate(M_a, b): exact, since scales
-         commute, stage 2 makes both q-powers shift*(a*b - 1) and M is unique;
-      5. the exponents read off the smallest prime's table in one pass and
-         checked against every prime's table, else NotASolution('peeling')
-         (see _peel).
+      4. the exponents read off the smallest prime's table in one pass and
+         checked against every prime's table (see _peel).  Over at least two
+         primes that succeeds exactly when every pair satisfies the
+         compatibility identity, so only a failure compares the tables
+         M_a * dilate(M_b, a) and M_b * dilate(M_a, b) of each pair, to raise
+         NotASolution('commutativity') naming the pairs that differ.
 
     The result reproduces every generator: closed_form(sd, p) == h_p.
     """
@@ -145,12 +145,15 @@ def decompose(spec: SolutionSpec) -> StructureData:
                 f"generator for prime {p} has a zero or pole that is neither 0 "
                 f"nor a root of unity (residual factor {exc.residual})",
             ) from exc
-    _reject_violations(
-        (a, b)
-        for a, b in combinations(spec.primes, 2)
-        if quotients[a] * quotients[b].dilate(a) != quotients[b] * quotients[a].dilate(b)
-    )
-    exponents = _peel(quotients)
+    try:
+        exponents = _peel(quotients)
+    except NotASolution:
+        _reject_violations(
+            (a, b)
+            for a, b in combinations(spec.primes, 2)
+            if quotients[a] * quotients[b].dilate(a) != quotients[b] * quotients[a].dilate(b)
+        )
+        raise
     return StructureData(
         primes=spec.primes,
         scales={p: forms[p].scale for p in spec.primes},

@@ -4,12 +4,13 @@ The oracles here deliberately take different routes than the library code:
 compositions go through Horner evaluation in the polynomial ring, cyclotomic
 polynomials through the Moebius product over q**d - 1, Moebius values
 through naive squarefree inspection, and closed forms through dense
-quantum-integer products reduced by a gcd.  Four are earlier designs of
+quantum-integer products reduced by a gcd.  Five are earlier designs of
 library routines, kept as references: ``peel_greedy`` removes one
 quantum-integer factor per round, ``term_by_fold`` folds prime powers,
-``cyclo_factor_by_scan`` trial-divides by every candidate Phi_d, and
+``cyclo_factor_by_scan`` trial-divides by every candidate Phi_d,
 ``multiset_value_by_two_products`` expands both sides of a quotient by
-their own Moebius transform.
+their own Moebius transform, and ``violations_by_field_products`` checks the
+compatibility identity by reduced products in the rational-function field.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
+import qfe.poly
+import qfe.ratfunc
 from qfe import (
     ONE,
     CyclotomicFactorization,
@@ -273,3 +277,30 @@ def multiset_value_by_two_products(mq: MultisetQuotient) -> RationalFunction:
     for k, e in mq.exponents().items():
         net.update(dict.fromkeys(divisors(k), e))
     return RationalFunction._reduced(_cyclotomic_product(net), _cyclotomic_product(-net))
+
+
+def violations_by_field_products(spec: SolutionSpec) -> tuple[tuple[int, int], ...]:
+    """The prime pairs (p1, p2), p1 < p2, with h1 * h2(q**p1) != h2 * h1(q**p2),
+    each side a product of rational functions that RationalFunction reduces
+    with gcds before the two canonical forms are compared."""
+    return tuple(
+        (p1, p2)
+        for p1, p2 in combinations(spec.primes, 2)
+        if spec.generator(p1) * spec.generator(p2).compose_power(p1)
+        != spec.generator(p2) * spec.generator(p1).compose_power(p2)
+    )
+
+
+def count_gcd_calls(monkeypatch) -> list:
+    """Patch the polynomial gcd wherever qfe binds it; the returned list
+    grows by one entry per call."""
+    calls: list = []
+    original = qfe.poly.gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(qfe.poly, "gcd", counting)
+    monkeypatch.setattr(qfe.ratfunc, "gcd", counting)
+    return calls

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfe.cli import main
 from qfe.cyclo import cyclotomic
@@ -347,3 +353,88 @@ def test_cli_imports_no_dataclasses_typing_inspect_or_pathlib():
         capture_output=True, text=True, timeout=30, check=True,
     )
     assert done.stdout == "[]\n"
+
+
+def test_synth_and_verify_through_a_thousand_prime_factors(capsys, tmp_path):
+    # Constant generators pass every degree guard, so n = 2^1000 is accepted.
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps({"primes": [2, 3], "generators": {"2": "3", "3": "1"}}))
+    code, out, err = run(capsys, "synth", "--spec", str(path), str(2**1000))
+    assert (code, out, err) == (0, f"{3**1000}\n", "")
+    code, out, err = run(capsys, "verify", "--spec", str(path), "2", str(2**1000))
+    assert (code, out, err) == (0, "ok\n", "")
+
+
+def test_answers_past_the_digit_limit_print_in_full(capsys, tmp_path):
+    # str() of an int refuses past 4300 digits by default; the answer must not.
+    code, out, err = run(capsys, "standard-form", "2^20000")
+    assert code == 0 and err == ""
+    assert out == f"lambda = {Decimal(2**20000)}\ne = 0\nu = 1\nv = 1\n"
+    assert len(out.split("\n")[0]) == len("lambda = ") + 6021
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"primes": [2, 3], "generators": {"2": "3^7000", "3": "1"}}))
+    code, out, err = run(capsys, "synth", "--spec", str(path), "4")
+    assert (code, out, err) == (0, f"{Decimal(3**14000)}\n", "")
+
+
+def test_input_past_the_digit_limit_exits_two(capsys, tmp_path):
+    digits = "9" * 5000
+    code, out, err = run(capsys, "standard-form", f"q + {digits}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: integer literal of 5000 digits is too long (at offset 4)")
+    structure = {"primes": [2, 3], "lambda": {"2": "1", "3": "1"}, "t0": "0", "terms": []}
+    lam = tmp_path / "lambda.json"
+    lam.write_text(json.dumps({**structure, "lambda": {"2": digits, "3": "1"}}))
+    r = tmp_path / "r.json"
+    r.write_text(json.dumps(structure).replace('"terms": []', f'"terms": [{{"r": {digits}, "t": 1}}]'))
+    for path in (lam, r):
+        code, out, err = run(capsys, "closed-form", "--structure", str(path), "2")
+        assert (code, out) == (2, ""), path
+        assert "too many digits" in err and "set_int_max_str_digits" not in err, path
+
+
+# The fuzz grammar: literals up to 6000 digits (past the 4300-digit limit),
+# q, qint, + - * /, parentheses and exponents up to 30.  Powers apply only to
+# small bases, since coefficient growth under powers is not bounded yet.
+_SMALL = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.just("q"),
+    st.builds("qint({})".format, st.integers(1, 6)),
+    st.builds("qint({}, {})".format, st.integers(1, 6), st.integers(1, 3)),
+    st.builds("(q {} {})".format, st.sampled_from("+-"), st.integers(0, 9)),
+)
+_LONG = st.builds(
+    lambda k, d: str(d) * k,
+    st.one_of(st.integers(1, 6000), st.sampled_from([4300, 4301, 6000])),
+    st.integers(1, 9),
+)
+_EXPONENT = st.one_of(st.integers(0, 30).map(str), st.integers(1, 30).map("(-{})".format))
+_FACTOR = st.one_of(
+    _SMALL,
+    _LONG,
+    st.builds("{}^{}".format, _SMALL, _EXPONENT),
+    st.builds("-{}".format, _SMALL),
+)
+_OPERATOR = st.sampled_from(["+", "-", "*", "/"])
+
+
+@st.composite
+def _expressions(draw):
+    factors = draw(st.lists(_FACTOR, min_size=1, max_size=4))
+    text = factors[0]
+    for factor in factors[1:]:
+        text += f" {draw(_OPERATOR)} {factor}"
+    return f"({text})" if draw(st.booleans()) else text
+
+
+@given(_expressions())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_standard_form_fuzz_exits_cleanly(expr):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["standard-form", expr])
+    assert time.perf_counter() - start < 2.0, expr
+    assert code in (0, 1, 2), expr
+    assert "Traceback" not in err.getvalue() and "set_int_max_str_digits" not in err.getvalue(), expr
+    assert (code == 0) == (out.getvalue() != ""), expr

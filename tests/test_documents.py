@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -193,3 +194,26 @@ class TestStructureDocuments:
         # fixture file matches the in-code generator table
         raw = json.loads((DATA / "spec257.json").read_text(encoding="utf-8"))
         assert raw["generators"] == {str(p): t for p, t in GENERATORS_257.items()}
+
+
+class TestDigitLimit:
+    """The interpreter's int<->str digit limit (4300 by default) guards
+    parsing: past it, input is a DocumentError and output still prints."""
+
+    def test_format_rational_prints_in_full(self):
+        big = 2**20000
+        assert format_rational(Fraction(big)) == str(Decimal(big))
+        assert format_rational(Fraction(-1, big)) == f"-1/{Decimal(big)}"
+
+    def test_long_rational_is_a_document_error(self):
+        with pytest.raises(DocumentError, match="too many digits"):
+            parse_rational("9" * 5000)
+        doc = {**STRUCTURE_257, "lambda": {"2": "1", "5": "9" * 5000, "7": "1"}}
+        with pytest.raises(DocumentError, match="too many digits"):
+            structure_data_from_dict(doc)
+
+    def test_long_json_integer_is_a_document_error(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(STRUCTURE_257).replace('"r": 3', '"r": ' + "9" * 5000))
+        with pytest.raises(DocumentError, match="too many digits"):
+            load_structure_data(path)

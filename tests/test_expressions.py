@@ -244,3 +244,13 @@ class TestFormatting:
         for _ in range(80):
             f = random_rational_function(rng)
             assert evaluate(format_expr(f)) == f
+
+
+def test_long_integer_literal_is_a_parse_error_at_its_offset():
+    digits = "9" * 5000
+    for text, offset in ((f"q + {digits}", 4), (f"q^{digits}", 2), (f"qint({digits})", 5)):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert exc.value.position == offset
+        assert "set_int_max_str_digits" not in str(exc.value)
+    assert evaluate("9" * 4000) == RationalFunction(Polynomial((int("9" * 4000),)))

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -248,3 +249,10 @@ def test_exactness_no_floats():
 
 def test_moebius_brute_is_sane():
     assert [moebius_brute(k) for k in (1, 2, 3, 4, 6, 12, 30)] == [1, -1, -1, 0, 1, 0, -1]
+
+
+def test_str_prints_coefficients_past_the_digit_limit():
+    # str() of an int refuses past 4300 digits by default; printing must not.
+    big = 3**9000
+    assert str(Polynomial((1, big))) == f"{Decimal(big)}*q + 1"
+    assert str(Polynomial((Fraction(-1, 7**6000), 0, 1))) == f"q^2 - 1/{Decimal(7**6000)}"

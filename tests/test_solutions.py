@@ -17,9 +17,18 @@ from qfe.solutions import (
     synthesize,
     verify_functional_equation,
 )
-from qfe.structure import closed_form
+from qfe.structure import StructureData, closed_form
 
-from helpers import _term_in_order, random_structure_data, spec_257, term_by_fold
+from helpers import (
+    _term_in_order,
+    count_gcd_calls,
+    random_nonzero_fraction,
+    random_nonzero_polynomial,
+    random_structure_data,
+    spec_257,
+    term_by_fold,
+    violations_by_field_products,
+)
 
 
 def P(*coeffs):
@@ -241,3 +250,68 @@ def test_generators_mapping_readonly():
     spec = quantum_integer_spec([2, 3])
     with pytest.raises(TypeError):
         spec.generators[2] = RationalFunction(ONE)  # type: ignore[index]
+
+
+def random_pair_scan_spec(rng, kind):
+    """A spec over 2-3 primes: closed forms (Fraction scales and shifts,
+    commutative), generators drawn from two closed forms over the same
+    primes (maybe not commutative), or random quotients scaled by a Fraction
+    (non-monic, mostly non-cyclotomic)."""
+    if kind == "closed":
+        sd = random_structure_data(rng)
+        return SolutionSpec({p: closed_form(sd, p) for p in sd.primes})
+    primes = sorted(rng.sample([2, 3, 5, 7], rng.randint(2, 3)))
+    if kind == "mixed":
+        sources = [
+            StructureData(
+                primes,
+                {p: random_nonzero_fraction(rng) for p in primes},
+                0,
+                {r: rng.choice([-2, -1, 1, 2]) for r in rng.sample([1, 2, 3], rng.randint(0, 2))},
+            )
+            for _ in range(2)
+        ]
+        return SolutionSpec({p: closed_form(rng.choice(sources), p) for p in primes})
+    return SolutionSpec(
+        {
+            p: RationalFunction(
+                random_nonzero_polynomial(rng, 4).scaled(random_nonzero_fraction(rng)),
+                random_nonzero_polynomial(rng, 3),
+            )
+            for p in primes
+        }
+    )
+
+
+class TestPairScan:
+    """commutativity_violations cross-multiplies numerators and denominators;
+    the reference multiplies reduced rational functions, with gcds."""
+
+    def test_matches_field_products(self):
+        rng = random.Random(2718)
+        seen = {kind: set() for kind in ("closed", "mixed", "random")}
+        for i in range(150):
+            kind = ("closed", "mixed", "random")[i % 3]
+            spec = random_pair_scan_spec(rng, kind)
+            expected = violations_by_field_products(spec)
+            assert commutativity_violations(spec) == expected, spec
+            seen[kind].add(bool(expected))
+        assert seen == {"closed": {False}, "mixed": {True, False}, "random": {True}}
+
+    def test_runs_no_gcd(self, monkeypatch):
+        rng = random.Random(31)
+        specs = [random_pair_scan_spec(rng, ("closed", "mixed", "random")[i % 3]) for i in range(30)]
+        specs.append(spec_257())
+        calls = count_gcd_calls(monkeypatch)
+        verdicts = [commutativity_violations(spec) for spec in specs]
+        assert not calls
+        assert any(verdicts) and not all(verdicts)
+
+
+def test_synthesize_through_a_thousand_prime_factors():
+    # One fold step per prime factor of n; no recursion, so none hits the limit.
+    spec = SolutionSpec({2: 3, 3: 1})
+    assert synthesize(spec, 2**1200) == 3**1200
+    assert synthesize(spec, 2**1199 * 3) == 3**1199
+    assert synthesize(spec, 5 * 2**1200).is_zero
+    assert verify_functional_equation(spec, 2**600, 3 * 2**700)

@@ -35,6 +35,7 @@ from qfe.structure import (
 
 from helpers import (
     closed_form_by_products,
+    count_gcd_calls,
     peel_greedy,
     random_multiset_pair,
     random_nonzero_fraction,
@@ -298,9 +299,9 @@ class TestDecomposeRejections:
 
 
 class TestCompatibilityStage:
-    """Stage 4 of decompose checks the compatibility identity on multiset
-    quotients; on generators that pass stages 2-3 it must agree exactly with
-    the field-level commutativity_violations."""
+    """When _peel fails, decompose names the pairs whose multiset quotients
+    violate the compatibility identity; on generators that pass stages 2-3
+    its verdict and pairs must agree exactly with commutativity_violations."""
 
     @staticmethod
     def mixed_spec(rng):
@@ -337,6 +338,22 @@ class TestCompatibilityStage:
             pairs = ", ".join(f"({a}, {b})" for a, b in violations)
             assert str(exc.value) == f"generator pairs {pairs} violate the compatibility identity"
         assert seen == {True, False}
+
+
+def test_decompose_success_runs_no_gcd_and_no_table_product(monkeypatch):
+    # A valid spec is decided by _peel alone: no pair scan, no validating gcd.
+    rng = random.Random(404)
+    data = [random_structure_data(rng) for _ in range(30)] + [SD_257]
+    specs = [SolutionSpec({p: closed_form(sd, p) for p in sd.primes}) for sd in data]
+    gcds = count_gcd_calls(monkeypatch)
+    products = []
+    product = MultisetQuotient.__mul__
+    monkeypatch.setattr(
+        MultisetQuotient, "__mul__", lambda a, b: products.append(1) or product(a, b)
+    )
+    assert [decompose(spec) for spec in specs] == data
+    assert not gcds
+    assert not products
 
 
 class TestCertification:
