@@ -2,7 +2,26 @@
 they are set once, positionally or by keyword with defaults from ``_defaults``.
 Equality and hashing skip ``position``, a source offset; repr shows it."""
 
+from fractions import Fraction
 from operator import attrgetter
+
+
+def _repr(value: object) -> str:
+    """repr(value) with every int and Fraction in full, also inside dicts.
+    The interpreter refuses str() of an int past its digit limit; only then
+    does the value print through ``decimal``."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            from decimal import Decimal
+
+            return str(Decimal(value))
+        if isinstance(value, Fraction):
+            return f"Fraction({_repr(value.numerator)}, {_repr(value.denominator)})"
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{_repr(k)}: {_repr(v)}" for k, v in value.items()) + "}"
+        raise
 
 
 class _Value:
@@ -32,7 +51,7 @@ class _Value:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object = None) -> None:

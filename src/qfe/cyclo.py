@@ -24,14 +24,15 @@ dilation, expansion) that the structure classification runs on.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
+from math import isqrt
 from operator import sub
 
 from ._value import _Value
-from .arith import divisors, euler_phi, factorize, is_prime
+from .arith import divisors, factorize, is_prime
 from .arith import moebius  # noqa: F401  (re-exported)
 from .poly import ONE, Polynomial, _int_divmod, _int_primitive, _make
 from .ratfunc import RationalFunction
@@ -79,16 +80,22 @@ class CyclotomicFactorization(_Value):
 def _moebius_table(exponents: Mapping[int, int]) -> Counter[int]:
     """The signed table {j: a} with prod Phi_d**m == prod (q**j - 1)**a.
 
-    The terms of Phi_d are (q**(d/s) - 1)**moebius(s) over the squarefree
-    s | d, built prime by prime from one factorization of d.
+    The terms of Phi_d come from ``_moebius_terms`` and one factorization
+    of d.
     """
     table: Counter[int] = Counter()
     for d, m in exponents.items():
-        terms = [(d, m)]
-        for p in factorize(d):
-            terms += [(j // p, -a) for j, a in terms]
-        table.update(dict(terms))
+        table.update(dict(_moebius_terms(d, m, factorize(d))))
     return table
+
+
+def _moebius_terms(d: int, m: int, primes: Iterable[int]) -> list[tuple[int, int]]:
+    """The pairs (d/s, m * moebius(s)) over the squarefree s | d, given the
+    primes of d: prod Phi_d**m == prod (q**j - 1)**a over the pairs (j, a)."""
+    terms = [(d, m)]
+    for p in primes:
+        terms += [(j // p, -a) for j, a in terms]
+    return terms
 
 
 def _cyclotomic_product(exponents: Mapping[int, int]) -> Polynomial:
@@ -162,6 +169,56 @@ def _vanishes_at_root(c: Sequence[int], d: int) -> bool:
     return acc == 0
 
 
+def _candidates(deg: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(d, euler_phi(d), the primes of d ascending) for every d with
+    euler_phi(d) <= deg, in increasing d, without factoring any d.
+
+    Each d > 1 grows from its parent d / p, p its largest prime:
+    euler_phi(d) is euler_phi(d / p) times p if p divides d / p, and times
+    p - 1 if not, so every prime of d is at most deg + 1 and comes from one
+    sieve.  A popped d pushes two entries: its first child d * p and its
+    next sibling d / p * p', p' the prime after p.  Every later child or
+    sibling has a larger totient than these two, so a branch ends at the
+    first entry past deg.
+    """
+    from heapq import heappop, heappush
+
+    if deg < 1:
+        return
+    sieve = bytearray([1]) * (deg + 2)
+    sieve[:2] = b"\0\0"
+    for k in range(2, isqrt(deg + 1) + 1):
+        if sieve[k]:
+            sieve[k * k :: k] = bytes(len(range(k * k, deg + 2, k)))
+    primes = list(compress(range(deg + 2), sieve))
+    yield 1, 1, ()
+    # (d, phi, primes of d, index j of its largest prime, its parent's (d, phi, primes))
+    heap = [(2, 1, (2,), 0, (1, 1, ()))]
+    while heap:
+        d, phi, ps, j, parent = heappop(heap)
+        yield d, phi, ps
+        p = primes[j]
+        if phi * p <= deg:
+            heappush(heap, (d * p, phi * p, ps, j, (d, phi, ps)))
+        if j + 1 < len(primes):
+            pd, pphi, pps = parent
+            p = primes[j + 1]
+            if pphi * (p - 1) <= deg:
+                heappush(heap, (pd * p, pphi * (p - 1), (*pps, p), j + 1, parent))
+
+
+def _cyclotomic_at(x: int, d: int, primes: Iterable[int]) -> int:
+    """Phi_d(x) = prod (x**(d/s) - 1)**moebius(s) over the squarefree s | d,
+    given the primes of d."""
+    num = den = 1
+    for j, a in _moebius_terms(d, 1, primes):
+        if a > 0:
+            num *= x**j - 1
+        else:
+            den *= x**j - 1
+    return num // den
+
+
 def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     """Factor p as unit * q**a * prod Phi_d**m exactly, or raise
     NonCyclotomicFactor carrying the residual.
@@ -169,18 +226,25 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     Candidate indices d are tried in increasing order and each Phi_d is
     divided out to its full multiplicity before moving on, so the output is
     deterministic.  Only d with euler_phi(d) <= deg, the degree of what
-    remains, can divide, and every such d has d <= deg * bitlen(2 * deg**2),
-    which bounds the search.  Proof: euler_phi(d) >= sqrt(d/2) gives
-    d <= 2 * deg**2.  The distinct primes p_1 < ... < p_w of d have
-    p_i >= i + 1, so euler_phi(d)/d = prod (1 - 1/p_i) >= 1/(w + 1), and
-    2**w <= d gives w + 1 <= bitlen(d) <= bitlen(2 * deg**2).
+    remains, can divide; ``_candidates`` enumerates exactly those d for the
+    starting degree, with their totients and primes, and no other integer
+    is looked at.  Every such d has d <= deg * bitlen(2 * deg**2), which
+    stops the walk early once the degree has dropped.  Proof:
+    euler_phi(d) >= sqrt(d/2) gives d <= 2 * deg**2.  The distinct primes
+    p_1 < ... < p_w of d have p_i >= i + 1, so
+    euler_phi(d)/d = prod (1 - 1/p_i) >= 1/(w + 1), and 2**w <= d gives
+    w + 1 <= bitlen(d) <= bitlen(2 * deg**2).
 
-    A trial division by Phi_d runs only when what remains vanishes mod a
-    prime ell = 1 (mod d) at w, an element of exact order d in GF(ell)
-    (Bradford and Davenport, ISSAC '88).  The screen is sound: w is a root
-    of Phi_d mod ell, so if Phi_d divides f over the integers then f(w) = 0
-    mod ell.  A false pass costs one failing division and never changes the
-    output.
+    A trial division by Phi_d runs only after two screens pass.  First,
+    Phi_d(x) must divide the integer f(x), where x >= 2 is the least integer
+    with f(x) != 0.  Second, f must vanish mod a prime ell = 1 (mod d) at w,
+    an element of exact order d in GF(ell) (Bradford and Davenport,
+    ISSAC '88).  Both are sound: if Phi_d divides f over the integers then
+    Phi_d(x) divides f(x) in Z, and w, a root of Phi_d mod ell, is a root of
+    f mod ell.  The integer test rejects nearly every large d on its own;
+    the modular one catches the small d, such as Phi_1(2) = 1, that divide
+    any f(x).  A false pass costs one failing division and never changes
+    the output.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -189,23 +253,28 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     # By Gauss's lemma each monic Phi_d dividing the primitive integer part
     # leaves an integer quotient.
     remaining = _int_primitive(body._ints)
+    x, value = 1, 0
+    while not value:  # x = 2, or the next integer while x is a root
+        x += 1
+        for c in reversed(remaining):
+            value = value * x + c
     factors: dict[int, int] = {}
-    d = 0
-    while True:
+    for d, phi, primes in _candidates(len(remaining) - 1):
         deg = len(remaining) - 1
-        if deg == 0:
+        if deg == 0 or d > deg * (2 * deg * deg).bit_length():
             break
-        d += 1
-        if d > deg * (2 * deg * deg).bit_length():
-            raise NonCyclotomicFactor(Polynomial(remaining).monic())
-        if euler_phi(d) > deg:
+        if phi > deg:
             continue
-        while _vanishes_at_root(remaining, d):
+        at_x = _cyclotomic_at(x, d, primes)
+        while value % at_x == 0 and _vanishes_at_root(remaining, d):
             quotient = _exact_int_div(remaining, cyclotomic(d)._ints)
             if quotient is None:
                 break
             factors[d] = factors.get(d, 0) + 1
             remaining = quotient
+            value //= at_x
+    if len(remaining) > 1:
+        raise NonCyclotomicFactor(Polynomial(remaining).monic())
     return CyclotomicFactorization(body.leading, qpower, factors)
 
 

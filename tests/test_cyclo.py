@@ -1,13 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
 import qfe.cyclo
 import qfe.poly
-from qfe.arith import divisors, euler_phi
+from qfe.arith import divisors, euler_phi, factorize
 from qfe.cyclo import (
     CyclotomicFactorization,
     MultisetQuotient,
@@ -31,6 +35,8 @@ from helpers import (
     random_multiset_pair,
     random_structure_data,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def P(*coeffs):
@@ -218,21 +224,22 @@ class TestCycloFactor:
                 with pytest.raises(NonCyclotomicFactor):
                     cyclo_factor(cyclotomic(rng.randint(1, 8)) * stray)
 
-    def test_scan_is_bounded_by_totient_lemma(self, monkeypatch):
-        # q^64 - q - 1 has no cyclotomic factor, so the whole scan runs:
-        # d = 1 .. 64 * bitlen(2 * 64**2) = 896, not the 2 * 64**2 = 8192
-        # of the cruder bound.
-        scanned = []
-        phi = qfe.cyclo.euler_phi
+    def test_candidates_screened_are_bounded_by_totient_lemma(self, monkeypatch):
+        # q^64 - q - 1 has no cyclotomic factor, so every candidate is
+        # screened: the d with phi(d) <= 64, all of them below
+        # 64 * bitlen(2 * 64**2) = 896, and none of the other integers.
+        screened = []
+        at = qfe.cyclo._cyclotomic_at
 
-        def counted(d):
-            scanned.append(d)
-            return phi(d)
+        def counted(x, d, primes):
+            screened.append(d)
+            return at(x, d, primes)
 
-        monkeypatch.setattr(qfe.cyclo, "euler_phi", counted)
+        monkeypatch.setattr(qfe.cyclo, "_cyclotomic_at", counted)
         with pytest.raises(NonCyclotomicFactor):
             cyclo_factor(Polynomial.monomial(64) - P(1, 1))
-        assert 0 < len(scanned) <= 896
+        assert 0 < len(screened) <= 896
+        assert screened == [d for d in range(1, 897) if euler_phi(d) <= 64]
 
 
 def test_totient_lemma_bounds_scan():
@@ -246,6 +253,24 @@ def test_totient_lemma_bounds_scan():
     for n in range(1, 201):
         reachable = [d for d in range(1, 2 * n * n + 1) if phi[d] <= n]
         assert max(reachable) <= n * (2 * n * n).bit_length(), n
+
+
+def test_candidates_are_the_small_totients():
+    """For deg <= 200 the enumeration is [d <= deg * bitlen(2 deg^2) :
+    phi(d) <= deg] in order, with phi(d) and the primes of d."""
+    limit = 200 * (2 * 200**2).bit_length()
+    table = [(d, euler_phi(d), tuple(factorize(d))) for d in range(1, limit + 1)]
+    for deg in range(201):
+        bound = deg * (2 * deg * deg).bit_length()
+        expected = [row for row in table[:bound] if row[1] <= deg]
+        assert list(qfe.cyclo._candidates(deg)) == expected, deg
+
+
+def test_cyclotomic_at_matches_polynomial_value():
+    for d in range(1, 121):
+        primes = tuple(factorize(d))
+        for x in (2, 3, 7):
+            assert qfe.cyclo._cyclotomic_at(x, d, primes) == cyclotomic(d)(x), (d, x)
 
 
 class TestMultisetQuotient:
@@ -423,6 +448,59 @@ def test_screen_roots_have_exact_order():
         assert not any(prime(m) for m in range(ell - d, 2**31, -d)), d
         assert pow(w, d, ell) == 1, d
         assert all(pow(w, d // p, ell) != 1 for p in small if d % p == 0), d
+
+
+@pytest.mark.parametrize(
+    "p, x",
+    [
+        (P(-2, 1) * cyclotomic(3) * cyclotomic(12) ** 2, 3),
+        (P(-2, 1) * P(-3, 1) * cyclotomic(5), 4),
+        (P(-2, 1) * P(-3, 1) * P(-4, 1) * cyclotomic(1) * cyclotomic(2) ** 3, 5),
+        (P(-2, 1).shift(2) * cyclotomic(6) * Fraction(-3, 2), 3),
+    ],
+)
+def test_screen_moves_past_integer_roots(monkeypatch, p, x):
+    """When f(2) = 0 (and f(3) = 0 ...) the integer screen evaluates at the
+    least x with f(x) != 0, and the outcome is the unscreened scan's."""
+    points = set()
+    at = qfe.cyclo._cyclotomic_at
+
+    def recorded(point, d, primes):
+        points.add(point)
+        return at(point, d, primes)
+
+    monkeypatch.setattr(qfe.cyclo, "_cyclotomic_at", recorded)
+    assert factor_outcome(cyclo_factor, p) == factor_outcome(cyclo_factor_by_scan, p)
+    assert points == {x}
+
+
+@pytest.mark.parametrize(
+    "polynomial, limit",
+    [
+        ("Polynomial.monomial(400) - Polynomial([1, 1])", 0.1),
+        ("Polynomial.monomial(800) - Polynomial([1, 1])", 0.5),
+        ("Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]).compose_power(40)", 0.1),
+    ],
+    ids=["q^400-q-1", "q^800-q-1", "lehmer(q^40)"],
+)
+def test_cold_rejection_time(polynomial, limit):
+    """Rejections in a fresh process, with every cache empty."""
+    code = (
+        "import time\n"
+        "from qfe import NonCyclotomicFactor, Polynomial, cyclo_factor\n"
+        f"p = {polynomial}\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    cyclo_factor(p)\n"
+        "except NonCyclotomicFactor:\n"
+        "    print(time.perf_counter() - start)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert float(done.stdout) < limit
 
 
 def test_value_matches_two_product_route():

@@ -2,6 +2,7 @@
 hashing, repr, immutability, defensive copies and pickling."""
 
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from qfe.expressions import (
     parse_expr,
 )
 from qfe.poly import Polynomial
-from qfe.ratfunc import StandardForm
+from qfe.ratfunc import RationalFunction, StandardForm
 from qfe.structure import StructureData
 
 ONE = Number(Fraction(1))
@@ -145,6 +146,23 @@ def test_repr():
         "StructureData(primes=(2, 3), scales={2: Fraction(1, 1), 3: Fraction(1, 2)}, "
         "shift=Fraction(0, 1), exponents={1: -1})"
     )
+
+
+def test_repr_prints_integers_past_the_digit_limit_in_full():
+    big = 2**20000
+    digits = str(Decimal(big))
+    assert len(digits) > 4300
+    assert repr(RationalFunction(big).standard_form()) == (
+        f"StandardForm(scale=Fraction({digits}, 1), shift=0, "
+        "num=Polynomial('1'), den=Polynomial('1'))"
+    )
+    assert repr(StructureData((2, 3), {2: big, 3: 1}, 0, {})) == (
+        f"StructureData(primes=(2, 3), scales={{2: Fraction({digits}, 1), 3: Fraction(1, 1)}}, "
+        "shift=Fraction(0, 1), exponents={})"
+    )
+    assert repr(QuantumInteger(big)) == f"QuantumInteger(n={digits}, r=1)"
+    assert repr(Number(Fraction(1, -big))) == f"Number(value=Fraction(-1, {digits}))"
+    assert repr(MultisetQuotient({big: 1}, {})) == f"MultisetQuotient(num={{{digits}: 1}}, den={{}})"
 
 
 def test_fields_cannot_be_assigned_or_deleted():
