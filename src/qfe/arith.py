@@ -24,24 +24,23 @@ def factorize(n: int) -> dict[int, int]:
 
 
 # The first 13 primes as Miller-Rabin bases decide primality of every n below
-# _MILLER_RABIN_EXACT (Sorenson and Webster, Math. Comp. 86 (2017)), and the
-# first four do below 3215031751 (Jaeschke, Math. Comp. 61 (1993)).
+# _MILLER_RABIN_EXACT (Sorenson and Webster, Math. Comp. 86 (2017)).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_EXACT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Primality of n: deterministic Miller-Rabin below 3317044064679887385961981,
-    trial division by ``factorize`` above."""
+    """Primality of n by deterministic Miller-Rabin; ValueError from
+    3317044064679887385961981 up, where no test of bounded time is at hand."""
+    if n >= _MILLER_RABIN_EXACT:
+        raise ValueError(f"primality of {n} is undecided at or above {_MILLER_RABIN_EXACT}")
     if n < 2:
         return False
     for a in _MILLER_RABIN_BASES:
         if n % a == 0:
             return n == a
-    if n >= _MILLER_RABIN_EXACT:
-        return factorize(n) == {n: 1}
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
-    for a in _MILLER_RABIN_BASES[:4] if n < 3215031751 else _MILLER_RABIN_BASES:
+    for a in _MILLER_RABIN_BASES:
         x = pow(a, (n - 1) >> s, n)
         if x == 1:
             continue

@@ -32,7 +32,7 @@ from math import isqrt
 from operator import sub
 
 from ._value import _Value
-from .arith import divisors, factorize, is_prime
+from .arith import divisors, factorize
 from .arith import moebius  # noqa: F401  (re-exported)
 from .poly import ONE, Polynomial, _int_divmod, _int_primitive, _make
 from .ratfunc import RationalFunction
@@ -139,34 +139,12 @@ def _exact_int_div(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
     return quot if s == 1 and not rem else None
 
 
-@lru_cache(maxsize=None)
-def _root(d: int) -> tuple[int, int]:
-    """(ell, w): the smallest prime ell = 1 (mod d) above 2**31, and
-    w = g**((ell - 1)/d) of exact order d in GF(ell) for the least g >= 2."""
-    ell = 2**31 // d * d + 1
-    if ell <= 2**31:
-        ell += d
-    while not is_prime(ell):
-        ell += d
-    primes = factorize(d)
-    g = 1
-    while True:
-        g += 1
-        w = pow(g, (ell - 1) // d, ell)
-        if all(pow(w, d // p, ell) != 1 for p in primes):
-            return ell, w
-
-
-def _vanishes_at_root(c: Sequence[int], d: int) -> bool:
-    """Whether the integer polynomial c vanishes mod ell at the root w of
-    ``_root(d)``; folds c mod q**d - 1 first, since w**d == 1."""
-    ell, w = _root(d)
+def _cyclotomic_divides(phi: Sequence[int], c: Sequence[int], d: int) -> bool:
+    """Whether Phi_d, with coefficients phi, divides the integer polynomial c;
+    decided on c mod q**d - 1, of degree below d, as Phi_d divides q**d - 1."""
     if d < len(c):
         c = [sum(c[r::d]) for r in range(d)]
-    acc = 0
-    for a in reversed(c):
-        acc = (acc * w + a) % ell
-    return acc == 0
+    return not _int_divmod(c, phi)[1]
 
 
 def _candidates(deg: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
@@ -237,14 +215,11 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
 
     A trial division by Phi_d runs only after two screens pass.  First,
     Phi_d(x) must divide the integer f(x), where x >= 2 is the least integer
-    with f(x) != 0.  Second, f must vanish mod a prime ell = 1 (mod d) at w,
-    an element of exact order d in GF(ell) (Bradford and Davenport,
-    ISSAC '88).  Both are sound: if Phi_d divides f over the integers then
-    Phi_d(x) divides f(x) in Z, and w, a root of Phi_d mod ell, is a root of
-    f mod ell.  The integer test rejects nearly every large d on its own;
-    the modular one catches the small d, such as Phi_1(2) = 1, that divide
-    any f(x).  A false pass costs one failing division and never changes
-    the output.
+    with f(x) != 0: if Phi_d divides f over the integers then Phi_d(x)
+    divides f(x) in Z.  This rejects nearly every large d on its own, but
+    not the small d, such as Phi_1(2) = 1, that divide any f(x).  Second,
+    ``_cyclotomic_divides`` decides exactly whether Phi_d divides f, on f
+    mod q**d - 1, so every division that runs finds a factor.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -266,12 +241,12 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
         if phi > deg:
             continue
         at_x = _cyclotomic_at(x, d, primes)
-        while value % at_x == 0 and _vanishes_at_root(remaining, d):
-            quotient = _exact_int_div(remaining, cyclotomic(d)._ints)
-            if quotient is None:
-                break
+        if value % at_x:
+            continue
+        phi_d = cyclotomic(d)._ints
+        while value % at_x == 0 and _cyclotomic_divides(phi_d, remaining, d):
             factors[d] = factors.get(d, 0) + 1
-            remaining = quotient
+            remaining = _exact_int_div(remaining, phi_d)
             value //= at_x
     if len(remaining) > 1:
         raise NonCyclotomicFactor(Polynomial(remaining).monic())
@@ -355,7 +330,7 @@ def as_multiset_quotient(num: Polynomial, den: Polynomial) -> MultisetQuotient:
     terms into its unique MultisetQuotient, or raise NonCyclotomicFactor.
 
     A failure certifies that num/den has a zero or pole that is neither 0
-    nor a root of unity, so it cannot belong to any solution sequence.
+    nor a root of unity: it lies outside the family ``decompose`` classifies.
     """
     table: Counter[int] = Counter()
     for part, sign in ((num, 1), (den, -1)):

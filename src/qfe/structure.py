@@ -1,7 +1,7 @@
 """Classification of rational solutions and the inverse decomposition.
 
-Every solution in rational functions over Q whose support is generated by
-at least two primes has the closed form
+Every rational solution over Q with support generated by at least two primes
+and all zeros and poles at 0 or at roots of unity has the closed form
 
     f_n = scale(n) * q**(shift*(n-1)) * prod_r [n]_{q**r} ** exponents[r]
 
@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from ._value import _Value
-from .arith import factorize, is_prime
+from .arith import is_prime
 from .cyclo import MultisetQuotient, NonCyclotomicFactor, as_multiset_quotient
 from .ratfunc import RationalFunction, StandardForm, _assemble
 from .solutions import NotASolution, SolutionSpec, _reject_violations, in_support
@@ -76,11 +76,16 @@ class StructureData(_Value):
 
 
 def scale_at(sd: StructureData, n: int) -> Fraction:
-    """Extend the scale multiplicatively: scale(prod p**a) = prod scale(p)**a."""
+    """Extend the scale multiplicatively: scale(prod p**a) = prod scale(p)**a.
+    Divides the primes out of n, so n itself is never factorized."""
     if not in_support(sd.primes, n):
         raise ValueError(f"{n} is outside the support of {list(sd.primes)}")
     out = Fraction(1)
-    for p, a in factorize(n).items():
+    for p in sd.primes:
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
         out *= sd.scales[p] ** a
     return out
 
@@ -117,7 +122,8 @@ def decompose(spec: SolutionSpec) -> StructureData:
          rate, else NotASolution('shift');
       3. each num/den pair converts to its multiset quotient, else
          NotASolution('non-cyclotomic') -- the generator has a zero or pole
-         that is neither 0 nor a root of unity, so no solution contains it;
+         that is neither 0 nor a root of unity, so the spec is outside the
+         classified family (though (q**p - 2)/(q - 2) satisfies the identity);
       4. the exponents read off the smallest prime's table in one pass and
          checked against every prime's table (see _peel).  Over at least two
          primes that succeeds exactly when every pair satisfies the

@@ -2,6 +2,8 @@ import random
 import time
 from math import isqrt, prod
 
+import pytest
+
 from qfe.arith import factorize, is_prime
 
 
@@ -33,7 +35,7 @@ def test_is_prime_on_a_64_bit_prime_answers_at_once():
 
 
 def test_is_prime_with_four_bases_agrees_with_factorize():
-    # Below 3215031751 only the bases 2, 3, 5 and 7 run.
+    # Below 3215031751 the bases 2, 3, 5 and 7 alone would decide; all 13 run.
     rng = random.Random(10)
     sample = [rng.randrange(2**31, 3215031751) for _ in range(300)]
     sample += range(2**31 + 1, 2**31 + 1000, 2)
@@ -46,3 +48,13 @@ def test_is_prime_strong_pseudoprimes_to_bases_2_3_5_are_composite():
     # Base 7 exposes these; 3215031751 passes 2, 3, 5 and 7 and needs 11.
     for n in (25326001, 161304001, 960946321, 1157839381, 3215031751):
         assert not is_prime(n), n
+
+
+def test_is_prime_refuses_past_the_deterministic_bound():
+    bound = 3317044064679887385961981
+    assert not is_prime(bound - 1)  # even
+    start = time.perf_counter()
+    for n in (bound, 4000000000000000000000027, 2**200):
+        with pytest.raises(ValueError):
+            is_prime(n)
+    assert time.perf_counter() - start < 0.5

@@ -306,6 +306,39 @@ def test_commutativity_check_refuses_dilations_above_max_degree(tmp_path):
         assert "MAX_DEGREE" in done.stderr and "Traceback" not in done.stderr, argv
 
 
+def test_scale_at_a_huge_support_prime_answers_at_once(tmp_path):
+    # scale(p) at a support prime p = 10**18 + 3: the primes are divided out
+    # of N, so N is never factorized.
+    huge = "1000000000000000003"
+    structure = tmp_path / "huge.json"
+    doc = {"primes": [2, int(huge)], "lambda": {"2": "1", huge: "3"}, "t0": "0", "terms": []}
+    structure.write_text(json.dumps(doc), encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "qfe.cli", "closed-form", "--structure", str(structure), huge],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=5,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "3\n", "")
+
+
+def test_prime_key_past_the_miller_rabin_bound_exits_two(tmp_path):
+    # 4000000000000000000000027 is prime, but no deterministic Miller-Rabin
+    # base set is known at that size: the loader refuses it at once.
+    huge = "4000000000000000000000027"
+    spec = tmp_path / "huge.json"
+    doc = {"primes": [2, int(huge)], "generators": {"2": "1+q", huge: "1"}}
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "qfe.cli", "check", "--spec", str(spec)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=5,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert huge in done.stderr and "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "cyclo", "0")[0] == 2
     assert run(capsys, "cyclo")[0] == 2

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -429,25 +428,43 @@ def test_trial_divisions_only_for_true_factors(monkeypatch):
         assert divisions == []
 
 
-def test_screen_roots_have_exact_order():
-    """_root(d) is the smallest prime ell = 1 (mod d) above 2**31, and w has
-    exact order d in GF(ell); primality by trial division, d <= 2000."""
-    sieve = [True] * 2**16
-    for k in range(2, 2**8):
-        sieve[k * k :: k] = [False] * len(sieve[k * k :: k])
-    small = [p for p in range(2, 2**16) if sieve[p]]
-    primorial = prod(small)
+@pytest.mark.parametrize(
+    "stubborn",
+    [P(-2147483660, 1), Polynomial.monomial(721) - P(2), Polynomial.monomial(1681) - P(2)],
+    ids=["q-2147483660", "q^721-2", "q^1681-2"],
+)
+def test_exact_screen_runs_no_failing_division(monkeypatch, stubborn):
+    """Phi_1(2) = 1 divides every f(2), and q - 2147483660 has no zero mod
+    the prime 2147483659 that a modular screen at d = 1 could tell from 1;
+    the exact screen rejects these without a trial division."""
+    divisions = []
+    exact_div = qfe.cyclo._exact_int_div
 
-    def prime(n):  # 2**16 < n < 2**32 with no prime factor below 2**16
-        return all(n % p for p in small[:100]) and gcd(n, primorial) == 1
+    def counted(a, b):
+        divisions.append(b)
+        return exact_div(a, b)
 
-    for d in range(1, 2001):
-        ell, w = qfe.cyclo._root(d)
-        assert 2**31 < ell < 2**32 and (ell - 1) % d == 0, d
-        assert prime(ell), d
-        assert not any(prime(m) for m in range(ell - d, 2**31, -d)), d
-        assert pow(w, d, ell) == 1, d
-        assert all(pow(w, d // p, ell) != 1 for p in small if d % p == 0), d
+    monkeypatch.setattr(qfe.cyclo, "_exact_int_div", counted)
+    with pytest.raises(NonCyclotomicFactor):
+        cyclo_factor(stubborn)
+    assert divisions == []
+
+
+def test_exact_screen_agrees_with_full_remainder():
+    """Phi_d divides f exactly when f mod q**d - 1 leaves no remainder by
+    Phi_d: random integer f of degree <= 80, half of them multiples of Phi_d."""
+    rng = random.Random(1313)
+    for d in range(1, 61):
+        phi = cyclotomic(d)._ints
+        for i in range(20):
+            f = [rng.randint(-9, 9) for _ in range(rng.randint(1, 81))]
+            if i % 2:
+                f = (Polynomial(f) * cyclotomic(d))._ints
+            if not any(f):
+                continue
+            full = not qfe.poly._int_divmod(f, phi)[1]
+            assert qfe.cyclo._cyclotomic_divides(phi, f, d) == full, (d, f)
+            assert full or i % 2 == 0, (d, f)
 
 
 @pytest.mark.parametrize(
