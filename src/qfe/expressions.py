@@ -129,9 +129,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         c = text[i]
         if c.isspace():
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(("int", text[start:i], start))
         elif c.isalpha() or c == "_":

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._value import _Value
-from .poly import ONE, ZERO, Polynomial, Scalar, gcd
+from .poly import ONE, ZERO, Polynomial, Scalar, _coerce, gcd
 
 
 def _coerce_poly(value: "Polynomial | Scalar") -> Polynomial:
@@ -217,9 +217,8 @@ def _assemble(scale: Fraction, shift: int, num: Polynomial, den: Polynomial) -> 
 def _coerce_rf(value: "RationalFunction | Polynomial | Scalar") -> RationalFunction:
     if isinstance(value, RationalFunction):
         return value
-    if isinstance(value, (Polynomial, int, Fraction)):
-        return RationalFunction(_coerce_poly(value))
-    return NotImplemented  # type: ignore[return-value]
+    p = _coerce(value)
+    return p if p is NotImplemented else RationalFunction._reduced(p, ONE)
 
 
 class StandardForm(_Value):

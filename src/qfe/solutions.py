@@ -27,16 +27,16 @@ from .ratfunc import RationalFunction
 
 
 class NotASolution(ValueError):
-    """The given data does not determine a solution of the multiplication law.
+    """The input is outside the family of solutions ``decompose`` classifies
+    (a solution with a zero or pole off {0, roots of unity} is outside too).
 
     ``reason`` is a stable machine-readable tag:
       'commutativity'   a generator pair violates the compatibility identity
       'non-cyclotomic'  a generator has a zero or pole off {0, roots of unity}
       'shift'           the q-power exponents of the generators are inconsistent
-      'peeling'         the quantum-integer extraction cannot proceed; only
-                        ``structure._peel`` called directly raises it: when it
-                        fails in ``decompose``, some pair violates the identity
-                        and is named instead
+      'peeling'         the tables have no common read by x_p - 1; only
+                        ``structure._peel`` called directly raises it, as
+                        ``decompose`` names the failing pairs instead
     """
 
     def __init__(self, reason: str, message: str):
@@ -142,19 +142,20 @@ def synthesize(spec: SolutionSpec, n: int) -> RationalFunction:
 
 def _term(spec: SolutionSpec, n: int) -> RationalFunction:
     """f_n by the fold of ``synthesize``: walk n -> n/p down to the nearest
-    memoized term, then multiply back up, memoizing each step.  A loop, not
+    memoized term, then multiply back up, memoizing f_n alone.  A loop, not
     recursion, so n may have any number of prime factors."""
     terms = spec._terms
     if n not in terms and not in_support(spec.primes, n):
-        terms[n] = RationalFunction.zero()
-    steps = []
-    while n not in terms:
-        p = max(p for p in spec.primes if n % p == 0)
-        steps.append((n, p))
-        n //= p
-    value = terms[n]
+        return RationalFunction.zero()
+    steps, m = [], n
+    while m not in terms:
+        p = max(p for p in spec.primes if m % p == 0)
+        steps.append((m, p))
+        m //= p
+    value = terms[m]
     for m, p in reversed(steps):
-        value = terms[m] = value * spec.generator(p).compose_power(m // p)
+        value = value * spec.generator(p).compose_power(m // p)
+    terms[n] = value
     return value
 
 

@@ -9,10 +9,9 @@ where scale is completely multiplicative on the support, shift is a
 rational number with shift*(n-1) integral on the support, and the product
 runs over a finite exponent table.  ``StructureData`` holds that data.
 As [n]_{q**r} = (q**(r*n) - 1) / (q**r - 1), the rest is gcd-free algebra on
-signed tables of q**k - 1 exponents (``MultisetQuotient``).  One builder,
-``_quantum_table``, gives the table {r*n: +t, r: -t} at n: ``closed_form``
-expands it, and ``decompose`` inverts it at the smallest prime, checks the
-result against every prime, and compares table products only to name pairs.
+signed tables of q**k - 1 exponents (``MultisetQuotient``): ``closed_form``
+expands the table ``_quantum_table`` builds, and ``decompose`` divides it
+back out at every prime (``_read``).
 """
 
 from __future__ import annotations
@@ -77,16 +76,13 @@ class StructureData(_Value):
 
 def scale_at(sd: StructureData, n: int) -> Fraction:
     """Extend the scale multiplicatively: scale(prod p**a) = prod scale(p)**a.
-    Divides the primes out of n, so n itself is never factorized."""
-    if not in_support(sd.primes, n):
-        raise ValueError(f"{n} is outside the support of {list(sd.primes)}")
-    out = Fraction(1)
+    Divides the primes out of n once, so n itself is never factorized."""
+    out, m = Fraction(1), n
     for p in sd.primes:
-        a = 0
-        while n % p == 0:
-            n //= p
-            a += 1
-        out *= sd.scales[p] ** a
+        while m and m % p == 0:
+            m, out = m // p, out * sd.scales[p]
+    if m != 1:
+        raise ValueError(f"{n} is outside the support of {list(sd.primes)}")
     return out
 
 
@@ -124,12 +120,13 @@ def decompose(spec: SolutionSpec) -> StructureData:
          NotASolution('non-cyclotomic') -- the generator has a zero or pole
          that is neither 0 nor a root of unity, so the spec is outside the
          classified family (though (q**p - 2)/(q - 2) satisfies the identity);
-      4. the exponents read off the smallest prime's table in one pass and
-         checked against every prime's table (see _peel).  Over at least two
-         primes that succeeds exactly when every pair satisfies the
-         compatibility identity, so only a failure compares the tables
-         M_a * dilate(M_b, a) and M_b * dilate(M_a, b) of each pair, to raise
-         NotASolution('commutativity') naming the pairs that differ.
+      4. each prime's table Q_p is read by exact division by x_p - 1 (see
+         _read), and the reads must agree (_peel), else
+         NotASolution('commutativity') naming each pair (a, b) whose
+         identity (1 - x_b) * Q_a == (1 - x_a) * Q_b fails.  The x_a - 1 and
+         x_b - 1 are distinct primes of the UFD Z[x_2, x_3, ...], so it holds
+         iff Q_a = (x_a - 1) * t and Q_b = (x_b - 1) * t for one t, that is
+         iff both reads exist and are equal.
 
     The result reproduces every generator: closed_form(sd, p) == h_p.
     """
@@ -154,10 +151,11 @@ def decompose(spec: SolutionSpec) -> StructureData:
     try:
         exponents = _peel(quotients)
     except NotASolution:
+        reads = {p: _read(mq, p) for p, mq in quotients.items()}
         _reject_violations(
             (a, b)
             for a, b in combinations(spec.primes, 2)
-            if quotients[a] * quotients[b].dilate(a) != quotients[b] * quotients[a].dilate(b)
+            if reads[a] is None or reads[a] != reads[b]
         )
         raise
     return StructureData(
@@ -193,29 +191,30 @@ def _quantum_table(exponents: dict[int, int], n: int) -> Counter[int]:
     return table
 
 
-def _peel(quotients: dict[int, MultisetQuotient]) -> dict[int, int]:
-    """The exponents t whose ``_quantum_table(t, p)`` is every prime's table.
+def _read(mq: MultisetQuotient, p: int) -> dict[int, int] | None:
+    """The t with ``_quantum_table(t, p)`` equal to mq's table e, or None.
 
-    Entry k of the table e of the smallest prime p is t[k/p] - t[k], with
-    t[k/p] = 0 unless p | k.  One ascending pass over the keys of e sets
-    t[k] = t[k/p] - e[k] and carries a nonzero t[k] to k*p, k*p**2, ... up
-    to the next key or past the largest index.  Each prime's table is then
-    compared with t's, else NotASolution('peeling'): a carry that does not
-    close leaves an entry past the largest index, so it fails there too.
+    Write index k = prod l**a_l as the monomial prod x_l**a_l: a table is an
+    integer polynomial, dilating by l multiplies by x_l, and
+    ``_quantum_table(t, p)`` is (x_p - 1) * t.  So t is e divided by x_p - 1
+    from the top, t[j] = e[j*p] + e[j*p**2] + ..., if that division is exact.
     """
-    p = min(quotients)
-    e = quotients[p].exponents()
-    top = quotients[p].max_index()
-    t: dict[int, int] = {}
-    for k in sorted(e):
-        carry = (t.get(k // p, 0) if k % p == 0 else 0) - e[k]
-        while carry and k <= top:
-            t[k] = carry
-            k *= p
-            if k in e:
-                break
-    t = dict(sorted(t.items()))
-    for prime, mq in quotients.items():
-        if mq != MultisetQuotient.from_exponents(_quantum_table(t, prime)):
-            raise NotASolution("peeling", f"exponents {t} from prime {p} do not fit prime {prime}")
-    return t
+    e = mq.exponents()
+    sums: Counter[int] = Counter()
+    for k, v in e.items():
+        while k % p == 0:
+            k //= p
+            sums[k] += v
+    t = {j: v for j, v in sorted(sums.items()) if v}
+    return t if e == _quantum_table(t, p) else None
+
+
+def _peel(quotients: dict[int, MultisetQuotient]) -> dict[int, int]:
+    """The exponents t whose ``_quantum_table(t, p)`` is every prime's table:
+    the common ``_read`` of all primes, else NotASolution('peeling')."""
+    reads = {p: _read(mq, p) for p, mq in quotients.items()}
+    first = min(reads)
+    bad = [p for p, t in reads.items() if t is None or t != reads[first]]
+    if bad:
+        raise NotASolution("peeling", f"primes {bad} lack the read of prime {first}")
+    return reads[first]

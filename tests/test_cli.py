@@ -471,3 +471,10 @@ def test_standard_form_fuzz_exits_cleanly(expr):
     assert code in (0, 1, 2), expr
     assert "Traceback" not in err.getvalue() and "set_int_max_str_digits" not in err.getvalue(), expr
     assert (code == 0) == (out.getvalue() != ""), expr
+
+
+def test_superscript_digit_is_an_unexpected_character(capsys):
+    code, out, err = run(capsys, "standard-form", "q^²")
+    assert code == 2 and out == ""
+    assert "unexpected character '²' (at offset 2)" in err and "Traceback" not in err
+    assert run(capsys, "standard-form", "q^٣") == run(capsys, "standard-form", "q^3")

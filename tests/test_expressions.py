@@ -254,3 +254,13 @@ def test_long_integer_literal_is_a_parse_error_at_its_offset():
         assert exc.value.position == offset
         assert "set_int_max_str_digits" not in str(exc.value)
     assert evaluate("9" * 4000) == RationalFunction(Polynomial((int("9" * 4000),)))
+
+
+def test_only_decimal_digits_are_integer_literals():
+    # '²' is a digit to str.isdigit but not to int(); '٣' is decimal.
+    assert evaluate("q^٣") == evaluate("q^3")
+    for text, offset in (("q^²", 2), ("²", 0), ("q + 1²", 5)):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert exc.value.position == offset
+        assert str(exc.value) == f"unexpected character '²' (at offset {offset})"

@@ -175,3 +175,29 @@ class TestStandardForm:
         # the split is reproducible and rebuilding from the parts is stable
         form = f.standard_form()
         assert form.value().standard_form() == form
+
+
+MIXED_RF = RF(P(1, 1), P(0, 0, 1))  # (q + 1) / q**2
+MIXED_P = P(0, 1)  # q
+
+
+@pytest.mark.parametrize(
+    "op, expected",
+    [
+        (lambda: MIXED_RF + 1, RF(P(1, 1, 1), P(0, 0, 1))),
+        (lambda: 1 - MIXED_RF, RF(P(-1, -1, 1), P(0, 0, 1))),
+        (lambda: 1 / MIXED_RF, RF(P(0, 0, 1), P(1, 1))),
+        (lambda: Fraction(1, 2) - MIXED_RF, RF(P(-1, -1, Fraction(1, 2)), P(0, 0, 1))),
+        (lambda: MIXED_P - MIXED_RF, RF(P(-1, -1, 0, 1), P(0, 0, 1))),
+        (lambda: MIXED_P / MIXED_RF, RF(P(0, 0, 0, 1), P(1, 1))),
+        (lambda: 1 - MIXED_P, RF(P(1, -1))),
+    ],
+    ids=["rf+1", "1-rf", "1/rf", "half-rf", "p-rf", "p/rf", "1-p"],
+)
+def test_mixed_type_operators(op, expected):
+    assert op() == expected
+
+
+def test_mixed_type_operator_rejects_strings():
+    with pytest.raises(TypeError):
+        MIXED_RF + "q"

@@ -246,6 +246,15 @@ def test_memoization_is_transparent():
     assert first == again == fresh
 
 
+def test_memo_keeps_only_requested_terms():
+    spec = SolutionSpec({2: 3, 3: 1})
+    assert synthesize(spec, 2**4000) == 3**4000
+    assert len(spec._terms) <= 3
+    assert synthesize(spec, 5) == 0
+    assert 5 not in spec._terms
+    assert synthesize(spec, 2**4001) == 3**4001
+
+
 def test_generators_mapping_readonly():
     spec = quantum_integer_spec([2, 3])
     with pytest.raises(TypeError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qfe.cyclo import MultisetQuotient, cyclo_factor
+from qfe.cyclo import MultisetQuotient, as_multiset_quotient, cyclo_factor
 from qfe.poly import Polynomial, quantum_integer
 from qfe.ratfunc import RationalFunction
 from qfe.solutions import (
@@ -26,6 +26,7 @@ from qfe.structure import (
     TooFewPrimes,
     _peel,
     _quantum_table,
+    _read,
     closed_form,
     decompose,
     degree_signature,
@@ -119,6 +120,11 @@ class TestScaleAt:
     def test_outside_support(self):
         with pytest.raises(ValueError):
             scale_at(SD_257, 3)
+
+    def test_non_positive_is_outside(self):
+        for n in (0, -1, -4):
+            with pytest.raises(ValueError):
+                scale_at(SD_257, n)
 
     def test_huge_support_prime_is_divided_out(self):
         p = 10**18 + 3
@@ -328,7 +334,8 @@ class TestCompatibilityStage:
     @staticmethod
     def mixed_spec(rng):
         """Each prime's generator from one of two structure data over the
-        same primes with shift 0: stages 2-3 pass, the identity may not."""
+        same primes with shift 0, or the value of a random table, which
+        mostly has no read: stages 2-3 pass, the identity may not."""
         primes = tuple(sorted(rng.sample([2, 3, 5, 7], rng.randint(2, 3))))
 
         def data():
@@ -340,16 +347,28 @@ class TestCompatibilityStage:
                 {r: rng.choice([-2, -1, 1, 2]) for r in dilations},
             )
 
+        def generator(p):
+            if rng.random() < 0.25:
+                return random_multiset_pair(rng, max_index=12).value()
+            return closed_form(rng.choice(sources), p)
+
         sources = (data(), data())
-        return SolutionSpec({p: closed_form(rng.choice(sources), p) for p in primes})
+        return SolutionSpec({p: generator(p) for p in primes})
+
+    @staticmethod
+    def has_unread_table(spec):
+        forms = {p: h.standard_form() for p, h in spec.generators.items()}
+        return any(_read(as_multiset_quotient(f.num, f.den), p) is None for p, f in forms.items())
 
     def test_matches_field_identity(self):
         rng = random.Random(5150)
         seen = set()
+        unread = 0
         for _ in range(40):
             spec = self.mixed_spec(rng)
             violations = commutativity_violations(spec)
             seen.add(bool(violations))
+            unread += self.has_unread_table(spec)
             if not violations:
                 sd = decompose(spec)
                 assert all(closed_form(sd, p) == spec.generator(p) for p in spec.primes)
@@ -360,22 +379,34 @@ class TestCompatibilityStage:
             pairs = ", ".join(f"({a}, {b})" for a, b in violations)
             assert str(exc.value) == f"generator pairs {pairs} violate the compatibility identity"
         assert seen == {True, False}
+        assert unread >= 5
 
 
 def test_decompose_success_runs_no_gcd_and_no_table_product(monkeypatch):
     # A valid spec is decided by _peel alone: no pair scan, no validating gcd.
+    # A failing one names its pairs from the reads, again without any table
+    # product or dilation.
     rng = random.Random(404)
     data = [random_structure_data(rng) for _ in range(30)] + [SD_257]
     specs = [SolutionSpec({p: closed_form(sd, p) for p in sd.primes}) for sd in data]
+    mixed = [TestCompatibilityStage.mixed_spec(rng) for _ in range(40)]
+    failing = [spec for spec in mixed if commutativity_violations(spec)]
+    assert len(failing) >= 10
     gcds = count_gcd_calls(monkeypatch)
-    products = []
-    product = MultisetQuotient.__mul__
-    monkeypatch.setattr(
-        MultisetQuotient, "__mul__", lambda a, b: products.append(1) or product(a, b)
-    )
+    calls = []
+    for name in ("__mul__", "dilate"):
+        method = getattr(MultisetQuotient, name)
+        monkeypatch.setattr(
+            MultisetQuotient, name,
+            lambda *args, name=name, method=method: calls.append(name) or method(*args),
+        )
     assert [decompose(spec) for spec in specs] == data
+    for spec in failing:
+        with pytest.raises(NotASolution) as exc:
+            decompose(spec)
+        assert exc.value.reason == "commutativity"
     assert not gcds
-    assert not products
+    assert not calls
 
 
 class TestCertification:
