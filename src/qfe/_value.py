@@ -5,18 +5,18 @@ Equality and hashing skip ``position``, a source offset; repr shows it."""
 from fractions import Fraction
 from operator import attrgetter
 
+from .poly import _scalar_str
+
 
 def _repr(value: object) -> str:
     """repr(value) with every int and Fraction in full, also inside dicts.
     The interpreter refuses str() of an int past its digit limit; only then
-    does the value print through ``decimal``."""
+    does it print through ``poly._scalar_str``."""
     try:
         return repr(value)
     except ValueError:
         if isinstance(value, int):
-            from decimal import Decimal
-
-            return str(Decimal(value))
+            return _scalar_str(value)
         if isinstance(value, Fraction):
             return f"Fraction({_repr(value.numerator)}, {_repr(value.denominator)})"
         if isinstance(value, dict):

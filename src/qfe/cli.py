@@ -153,12 +153,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     spec = load_solution_spec(args.spec)
     _require_dilations(spec)
     violations = commutativity_violations(spec)
-    if args.json:
-        print(json.dumps({"commutes": not violations, "violations": [list(v) for v in violations]}))
-    elif violations:
-        print("violations: " + " ".join(f"({a}, {b})" for a, b in violations))
-    else:
-        print("ok")
+    text = ("violations: " + " ".join(f"({a}, {b})" for a, b in violations)) if violations else "ok"
+    _emit(args, text, {"commutes": not violations, "violations": [list(v) for v in violations]})
     return 1 if violations else 0
 
 
@@ -183,17 +179,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     spec = load_solution_spec(args.spec)
-    sd = decompose(spec)
-    doc = structure_data_to_dict(sd)
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        print("primes: " + ", ".join(str(p) for p in sd.primes))
-        for p in sd.primes:
-            print(f"lambda({p}) = {format_rational(sd.scales[p])}")
-        print(f"t0 = {format_rational(sd.shift)}")
-        for r, t in sorted(sd.exponents.items()):
-            print(f"term(r={r}) = {t}")
+    doc = structure_data_to_dict(decompose(spec))
+    lines = [
+        "primes: " + ", ".join(map(str, doc["primes"])),
+        *(f"lambda({p}) = {scale}" for p, scale in doc["lambda"].items()),
+        f"t0 = {doc['t0']}",
+        *(f"term(r={term['r']}) = {term['t']}" for term in doc["terms"]),
+    ]
+    _emit(args, "\n".join(lines), doc)
     return 0
 
 
@@ -216,15 +209,7 @@ def _cmd_standard_form(args: argparse.Namespace) -> int:
         "u": format_expr(form.num),
         "v": format_expr(form.den),
     }
-    text = "\n".join(
-        (
-            f"lambda = {payload['lambda']}",
-            f"e = {payload['e']}",
-            f"u = {payload['u']}",
-            f"v = {payload['v']}",
-        )
-    )
-    _emit(args, text, payload)
+    _emit(args, "\n".join(f"{key} = {value}" for key, value in payload.items()), payload)
     return 0
 
 

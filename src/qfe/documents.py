@@ -46,13 +46,13 @@ class DocumentError(ValueError):
     """A document fails its schema or cannot be decoded."""
 
 
-_RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise DocumentError(f"expected a rational string, got {text!r}")
-    match = _RATIONAL.match(text)
+    match = _RATIONAL.fullmatch(text)
     if not match:
         raise DocumentError(f"malformed rational {text!r}; use 'a' or 'a/b'")
     if match.group(2) == "0":

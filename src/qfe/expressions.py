@@ -354,8 +354,6 @@ def eval_expr(node: Expr) -> RationalFunction:
         return -eval_expr(node.operand)
     if isinstance(node, Pow):
         base = eval_expr(node.base)
-        if base.is_zero and node.exponent < 0:
-            raise ZeroDivisionError("division by the zero function")
         if max(base.num.degree, base.den.degree) * abs(node.exponent) > MAX_DEGREE:
             raise ParseError(f"degree above MAX_DEGREE = {MAX_DEGREE}", node.position)
         return base**node.exponent

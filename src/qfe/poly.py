@@ -158,10 +158,8 @@ class Polynomial:
         a, b = self._ints, other._ints
         if not a or not b:
             return ZERO
-        # Iterate the operand with fewer nonzero terms on the outside;
-        # compositions q -> q**m produce very sparse factors.
-        if sum(1 for c in a if c) > sum(1 for c in b if c):
-            a, b = b, a
+        # Zero terms are skipped on both sides: compositions q -> q**m
+        # produce very sparse factors.
         nz_b = [(j, c) for j, c in enumerate(b) if c]
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):

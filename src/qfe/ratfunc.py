@@ -45,11 +45,7 @@ class RationalFunction:
         if g.degree > 0:
             num = num // g
             den = den // g
-        lc = den.leading
-        if lc != 1:
-            num = num.scaled(1 / lc)
-            den = den.monic()
-        self._num, self._den = num, den
+        self._num, self._den = _monic_den(num, den)
 
     @classmethod
     def _reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
@@ -99,15 +95,9 @@ class RationalFunction:
         return f"RationalFunction({str(self)!r})"
 
     def __str__(self) -> str:
-        num = str(self._num)
         if self._den == ONE:
-            return num
-        if len([c for c in self._num.coeffs if c]) > 1:
-            num = f"({num})"
-        den = str(self._den)
-        if len([c for c in self._den.coeffs if c]) > 1:
-            den = f"({den})"
-        return f"{num}/{den}"
+            return str(self._num)
+        return f"{_operand(self._num)}/{_operand(self._den)}"
 
     # -- field operations ----------------------------------------------
 
@@ -163,12 +153,7 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.is_zero:
             raise ZeroDivisionError("division by the zero function")
-        num, den = self._den, self._num
-        lc = den.leading
-        if lc != 1:
-            num = num.scaled(1 / lc)
-            den = den.monic()
-        return RationalFunction._reduced(num, den)
+        return RationalFunction._reduced(*_monic_den(self._den, self._num))
 
     def __pow__(self, exponent: int) -> "RationalFunction":
         if exponent == 0:
@@ -212,6 +197,18 @@ def _assemble(scale: Fraction, shift: int, num: Polynomial, den: Polynomial) -> 
     else:
         den = den.shift(-shift)
     return RationalFunction._reduced(num, den)
+
+
+def _operand(p: Polynomial) -> str:
+    """str(p), parenthesized when p has more than one nonzero term."""
+    text = str(p)
+    return f"({text})" if len(p._ints) - p._ints.count(0) > 1 else text
+
+
+def _monic_den(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """num/den rescaled so that den is monic; den is nonzero."""
+    lc = den.leading
+    return (num, den) if lc == 1 else (num.scaled(1 / lc), den.monic())
 
 
 def _coerce_rf(value: "RationalFunction | Polynomial | Scalar") -> RationalFunction:

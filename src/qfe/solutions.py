@@ -98,13 +98,19 @@ def commutativity_violations(spec: SolutionSpec) -> tuple[tuple[int, int], ...]:
     support is the multiplicative semigroup generated by the primes.
     """
     if spec._violations is None:
-        bad = []
-        for (p1, h1), (p2, h2) in combinations(spec.generators.items(), 2):
-            g1, g2 = h1.compose_power(p2), h2.compose_power(p1)
-            if h1.num * g2.num * h2.den * g1.den != h2.num * g1.num * h1.den * g2.den:
-                bad.append((p1, p2))
-        spec._violations = tuple(bad)
+        spec._violations = tuple(
+            (p1, p2)
+            for (p1, h1), (p2, h2) in combinations(spec.generators.items(), 2)
+            if not _commutes(h1, h2, p1, p2)
+        )
     return spec._violations
+
+
+def _commutes(a: RationalFunction, b: RationalFunction, m: int, n: int) -> bool:
+    """a(q) * b(q**m) == b(q) * a(q**n), decided by cross-multiplying
+    numerators and denominators: no gcd runs."""
+    an, bm = a.compose_power(n), b.compose_power(m)
+    return a.num * bm.num * b.den * an.den == b.num * an.num * a.den * bm.den
 
 
 def is_commutative(spec: SolutionSpec) -> bool:
@@ -161,7 +167,8 @@ def _term(spec: SolutionSpec, n: int) -> RationalFunction:
 
 def verify_functional_equation(spec: SolutionSpec, m: int, n: int) -> bool:
     """Check f(m*n) == f_m(q) * f_n(q**m) and the symmetric identity
-    f_m(q) * f_n(q**m) == f_n(q) * f_m(q**n) on synthesized terms.
+    f_m(q) * f_n(q**m) == f_n(q) * f_m(q**n) on synthesized terms, both by
+    cross-multiplying numerators and denominators: no gcd runs.
 
     Holds vacuously (0 == 0) when the operands fall outside the support.
     """
@@ -171,8 +178,8 @@ def verify_functional_equation(spec: SolutionSpec, m: int, n: int) -> bool:
     fn = synthesize(spec, n)
     if fm.is_zero or fn.is_zero:
         return True  # then m*n is outside the support as well
-    crossed = fm * fn.compose_power(m)
-    return synthesize(spec, m * n) == crossed and crossed == fn * fm.compose_power(n)
+    fmn, gn = synthesize(spec, m * n), fn.compose_power(m)
+    return fmn.num * fm.den * gn.den == fmn.den * fm.num * gn.num and _commutes(fm, fn, m, n)
 
 
 def combine(

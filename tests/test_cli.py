@@ -180,6 +180,15 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_rational_with_a_trailing_newline_exits_two(capsys, tmp_path):
+    doc = {"primes": [2, 3], "lambda": {"2": "1\n", "3": "1"}, "t0": "0", "terms": []}
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "closed-form", "--structure", str(path), "6")
+    assert (code, out) == (2, "")
+    assert "malformed rational" in err
+
+
 def test_deep_nesting_exits_two(capsys):
     code, out, err = run(capsys, "standard-form", "(" * 200 + "q" + ")" * 200)
     assert code == 2

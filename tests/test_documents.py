@@ -48,6 +48,34 @@ class TestRationalStrings:
         with pytest.raises(DocumentError, match="zero denominator"):
             parse_rational("1/0")
 
+    def test_surrounding_whitespace_is_malformed(self):
+        for bad in ("1\n", "3/4\n", " 1", "1 ", "\n1"):
+            with pytest.raises(DocumentError, match="malformed rational"):
+                parse_rational(bad)
+
+
+SPEC_2 = {"primes": [2], "generators": {"2": "q"}}
+
+
+@pytest.mark.parametrize(
+    "load, doc, message",
+    [
+        (structure_data_from_dict, {**STRUCTURE_257, "t0": 0}, "expected a rational string"),
+        (structure_data_from_dict, {**STRUCTURE_257, "terms": [1]}, "term: expected an object"),
+        (solution_spec_from_dict, {**SPEC_2, "primes": "2"}, "list of integers"),
+        (solution_spec_from_dict, {**SPEC_2, "primes": [True]}, "list of integers"),
+        (structure_data_from_dict, {**STRUCTURE_257, "primes": [2, 5.0, 7]}, "list of integers"),
+        (structure_data_from_dict, {**STRUCTURE_257, "lambda": ["1"]}, "keyed by primes"),
+        (solution_spec_from_dict, {**SPEC_2, "generators": {"2": 1}}, "value for 2 must be a string"),
+        (structure_data_from_dict, {**STRUCTURE_257, "terms": {}}, "'terms' must be a list"),
+        (structure_data_from_dict, {**STRUCTURE_257, "terms": [{"r": 0, "t": 1}]}, "'r' must be"),
+        (structure_data_from_dict, {**STRUCTURE_257, "terms": [{"r": True, "t": 1}]}, "'r' must be"),
+    ],
+)
+def test_schema_errors(load, doc, message):
+    with pytest.raises(DocumentError, match=message):
+        load(doc)
+
 
 class TestSolutionSpecDocuments:
     def test_load_fixture(self):

@@ -195,6 +195,31 @@ class TestVerify:
         assert verify_functional_equation(spec, 3, 11)
         assert verify_functional_equation(spec, 2, 3)
 
+    @pytest.mark.parametrize("corrupt", ["f_mn", "f_m", "f_m with a consistent f_mn"])
+    def test_wrong_memoized_term_is_violated(self, corrupt):
+        # Terms memoized with a wrong value: each check must see it.  In the
+        # last case f_mn = f_m * f_n(q**m) still holds, so only the symmetric
+        # identity, q * f_m(q) * f_n(q**m) != f_n(q) * q**n * f_m(q**n), fails.
+        spec, m, n = spec_257(), 2, 5
+        assert verify_functional_equation(spec, m, n)  # memoizes f_m, f_n and f_mn
+        fm, fmn = synthesize(spec, m), synthesize(spec, m * n)
+        q = RationalFunction(P(0, 1))
+        if corrupt == "f_mn":
+            spec._terms[m * n] = fmn * q
+        else:
+            spec._terms[m] = fm * q
+            if corrupt != "f_m":
+                spec._terms[m * n] = fmn * q
+        assert not verify_functional_equation(spec, m, n)
+
+    def test_memoized_terms_run_no_gcd(self, monkeypatch):
+        spec, m, n = spec_257(), 2, 35
+        for k in (m, n, m * n):
+            synthesize(spec, k)
+        calls = count_gcd_calls(monkeypatch)
+        assert verify_functional_equation(spec, m, n)
+        assert not calls
+
 
 class TestCombinators:
     def test_invert_generator(self):
