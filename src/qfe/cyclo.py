@@ -17,8 +17,8 @@ prod Phi_d**m_d, and reports the stubborn residual factor when it cannot.
     prod_{u in num} (q**u - 1) / prod_{v in den} (q**v - 1)
 
 with disjoint multisets of indices, or as one signed table {k: e} of
-exponents of q**k - 1.  It owns the gcd-free table algebra (product,
-dilation, expansion) that the structure classification runs on.
+exponents of q**k - 1.  It owns the gcd-free table algebra (dilation,
+expansion) that the structure classification runs on.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from operator import sub
 
 from ._value import _Value
 from .arith import divisors, factorize
-from .arith import moebius  # noqa: F401  (re-exported)
 from .poly import ONE, Polynomial, _int_divmod, _int_primitive, _make
 from .ratfunc import RationalFunction
 
@@ -290,16 +289,6 @@ class MultisetQuotient(_Value):
     def exponents(self) -> Counter[int]:
         """The signed table {k: e}: num multiplicities positive, den negative."""
         return Counter({**self.num, **{k: -m for k, m in self.den.items()}})
-
-    def __mul__(self, other: "MultisetQuotient") -> "MultisetQuotient":
-        """The product quotient: signed exponents add."""
-        table = self.exponents()
-        table.update(other.exponents())
-        return MultisetQuotient.from_exponents(table)
-
-    def max_index(self) -> int:
-        """Largest index on either side; 0 when both sides are empty."""
-        return max([0, *self.num, *self.den])
 
     def dilate(self, d: int) -> "MultisetQuotient":
         """Multiply every index by d; mirrors the substitution q -> q**d,

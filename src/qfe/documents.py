@@ -46,19 +46,18 @@ class DocumentError(ValueError):
     """A document fails its schema or cannot be decoded."""
 
 
-_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+_RATIONAL = re.compile(r"-?\d+(?:/\d+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise DocumentError(f"expected a rational string, got {text!r}")
-    match = _RATIONAL.fullmatch(text)
-    if not match:
+    if not _RATIONAL.fullmatch(text):
         raise DocumentError(f"malformed rational {text!r}; use 'a' or 'a/b'")
-    if match.group(2) == "0":
-        raise DocumentError(f"zero denominator in rational {text!r}")
     try:
         return Fraction(text)
+    except ZeroDivisionError:
+        raise DocumentError(f"zero denominator in rational {text!r}") from None
     except ValueError:  # past the interpreter's int-from-str digit limit
         raise DocumentError(f"rational of {len(text)} characters has too many digits") from None
 

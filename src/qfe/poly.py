@@ -42,10 +42,6 @@ class Polynomial:
         self._ints, self._den = p._ints, p._den
 
     @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, power: int, coeff: Scalar = 1) -> "Polynomial":
         """coeff * q**power."""
         if power < 0:

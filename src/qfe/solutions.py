@@ -166,8 +166,9 @@ def _term(spec: SolutionSpec, n: int) -> RationalFunction:
 
 
 def verify_functional_equation(spec: SolutionSpec, m: int, n: int) -> bool:
-    """Check f(m*n) == f_m(q) * f_n(q**m) and the symmetric identity
-    f_m(q) * f_n(q**m) == f_n(q) * f_m(q**n) on synthesized terms, both by
+    """Check the law at both crossings on synthesized terms,
+    f(m*n) == f_m(q) * f_n(q**m) and f(m*n) == f_n(q) * f_m(q**n), which is the
+    law and the symmetric identity together.  Each is decided by
     cross-multiplying numerators and denominators: no gcd runs.
 
     Holds vacuously (0 == 0) when the operands fall outside the support.
@@ -178,8 +179,9 @@ def verify_functional_equation(spec: SolutionSpec, m: int, n: int) -> bool:
     fn = synthesize(spec, n)
     if fm.is_zero or fn.is_zero:
         return True  # then m*n is outside the support as well
-    fmn, gn = synthesize(spec, m * n), fn.compose_power(m)
-    return fmn.num * fm.den * gn.den == fmn.den * fm.num * gn.num and _commutes(fm, fn, m, n)
+    fmn, g, h = synthesize(spec, m * n), fn.compose_power(m), fm.compose_power(n)
+    crossings = ((fm, g), (fn, h))
+    return all(fmn.num * a.den * b.den == fmn.den * a.num * b.num for a, b in crossings)
 
 
 def combine(

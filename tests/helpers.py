@@ -203,23 +203,24 @@ def peel_greedy(quotients: dict[int, MultisetQuotient]) -> dict[int, int]:
     one), so peeling ends with empty tables or NotASolution('peeling').
     """
     exponents: Counter[int] = Counter()
-    while any(mq.max_index() for mq in quotients.values()):
+    tables = {p: mq.exponents() for p, mq in quotients.items()}
+    while any(tables.values()):
         rates = set()
         sides = set()
-        for p, mq in quotients.items():
-            m_p = mq.max_index()
+        for p, table in tables.items():
+            m_p = max(table, default=0)
             if m_p == 0 or m_p % p:
                 raise NotASolution("peeling", f"largest index {m_p} for prime {p}")
             rates.add(m_p // p)
-            sides.add("num" if m_p in mq.num else "den")
+            sides.add("num" if table[m_p] > 0 else "den")
         if len(rates) > 1 or len(sides) > 1:
             raise NotASolution("peeling", f"rates {sorted(rates)}, sides {sorted(sides)}")
         r = rates.pop()
         s = 1 if sides.pop() == "num" else -1
-        quotients = {
-            p: mq * MultisetQuotient.from_exponents({r * p: -s, r: s})
-            for p, mq in quotients.items()
-        }
+        for p, table in tables.items():
+            table.update({r * p: -s, r: s})
+        # The round trip through a quotient drops the entries that reached 0.
+        tables = {p: MultisetQuotient.from_exponents(t).exponents() for p, t in tables.items()}
         exponents[r] += s
     return {r: t for r, t in sorted(exponents.items()) if t}
 

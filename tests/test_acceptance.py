@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from qfe.arith import divisors
-from qfe.cyclo import MultisetQuotient, as_multiset_quotient, cyclotomic, moebius, q_power_minus_one
+from qfe.arith import divisors, moebius
+from qfe.cyclo import MultisetQuotient, as_multiset_quotient, cyclotomic, q_power_minus_one
 from qfe.poly import ONE, Polynomial
 from qfe.ratfunc import RationalFunction
 from qfe.solutions import (

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import time
 from decimal import Decimal
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_installed_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    module, _, name = scripts["qfe"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_cyclo(capsys):
@@ -187,6 +197,16 @@ def test_rational_with_a_trailing_newline_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "closed-form", "--structure", str(path), "6")
     assert (code, out) == (2, "")
     assert "malformed rational" in err
+
+
+def test_zero_denominator_spelled_with_extra_zeros_exits_two(capsys, tmp_path):
+    base = {"primes": [2, 3], "lambda": {"2": "1", "3": "1"}, "t0": "0", "terms": []}
+    path = tmp_path / "structure.json"
+    for doc in ({**base, "lambda": {"2": "1/00", "3": "1"}}, {**base, "t0": "1/00"}):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "closed-form", "--structure", str(path), "6")
+        assert (code, out) == (2, "")
+        assert "zero denominator in rational '1/00'" in err
 
 
 def test_deep_nesting_exits_two(capsys):

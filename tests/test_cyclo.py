@@ -10,7 +10,7 @@ import pytest
 
 import qfe.cyclo
 import qfe.poly
-from qfe.arith import divisors, euler_phi, factorize
+from qfe.arith import divisors, euler_phi, factorize, moebius
 from qfe.cyclo import (
     CyclotomicFactorization,
     MultisetQuotient,
@@ -18,7 +18,6 @@ from qfe.cyclo import (
     as_multiset_quotient,
     cyclo_factor,
     cyclotomic,
-    moebius,
     q_power_minus_one,
 )
 from qfe.poly import ONE, ZERO, Polynomial, quantum_integer
@@ -285,7 +284,6 @@ class TestMultisetQuotient:
         mq = as_multiset_quotient(ONE, ONE)
         assert mq.num == {} and mq.den == {}
         assert mq.value() == RationalFunction(ONE)
-        assert mq.max_index() == 0
 
     def test_quantum_integer_pair(self):
         mq = as_multiset_quotient(quantum_integer(5), ONE)
@@ -325,10 +323,6 @@ class TestMultisetQuotient:
             mq = random_multiset_pair(rng, max_index=8, max_mult=2)
             d = rng.randint(1, 4)
             assert mq.dilate(d).value() == mq.value().compose_power(d)
-
-    def test_max_index(self):
-        assert MultisetQuotient({1: 1, 6: 1}, {2: 1, 3: 1}).max_index() == 6
-        assert MultisetQuotient({5: 1}, {1: 2}).max_index() == 5
 
     def test_disjointness_required(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfe.documents import (
     DocumentError,
@@ -45,8 +47,18 @@ class TestRationalStrings:
                 parse_rational(bad)
 
     def test_zero_denominator(self):
-        with pytest.raises(DocumentError, match="zero denominator"):
-            parse_rational("1/0")
+        for text in ("1/0", "1/00", "3/000", "-2/0", "0/0", "1/\u0660", "0/\u0660"):
+            with pytest.raises(DocumentError, match="zero denominator"):
+                parse_rational(text)
+
+    @given(st.from_regex(r"-?\d+(/\d+)?", fullmatch=True) | st.text())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_any_text_parses_or_raises_document_error(self, text):
+        try:
+            value = parse_rational(text)
+        except DocumentError:
+            return
+        assert isinstance(value, Fraction)
 
     def test_surrounding_whitespace_is_malformed(self):
         for bad in ("1\n", "3/4\n", " 1", "1 ", "\n1"):

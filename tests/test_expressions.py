@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -90,6 +91,14 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             parse_expr("1 + qunt(2)")
         assert exc.value.position == 4
+        for text, message, position in (
+            ("q^", "expected an exponent", 2),
+            ("q^(q)", "non-integer exponent", 2),
+            ("1 + )", "unexpected token ')'", 4),
+        ):
+            with pytest.raises(ParseError, match=re.escape(message)) as exc:
+                parse_expr(text)
+            assert exc.value.position == position, text
 
     def test_trailing_tokens(self):
         with pytest.raises(ParseError):

@@ -221,6 +221,28 @@ class TestVerify:
         assert not calls
 
 
+def test_verify_composes_each_crossing_once(monkeypatch):
+    # On memoized terms verify composes f_n(q**m) and f_m(q**n) once each and
+    # forms the four products of each cross-multiplication, and nothing more.
+    spec, m, n = spec_257(), 2, 35
+    for k in (m, n, m * n):
+        synthesize(spec, k)
+    gcds = count_gcd_calls(monkeypatch)
+    calls = []
+    for cls, name in ((RationalFunction, "compose_power"), (Polynomial, "__mul__")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(
+            cls, name, lambda a, b, name=name, method=method: calls.append(name) or method(a, b)
+        )
+    assert verify_functional_equation(spec, m, n)
+    assert (calls.count("compose_power"), calls.count("__mul__")) == (2, 8)
+    assert not gcds
+
+
+def test_spec_repr():
+    assert repr(SolutionSpec({2: Polynomial([1, 1]), 3: 1})) == "SolutionSpec({2: q + 1, 3: 1})"
+
+
 class TestCombinators:
     def test_invert_generator(self):
         inv = invert(quantum_integer_spec([2, 3]))

@@ -384,8 +384,8 @@ class TestCompatibilityStage:
 
 def test_decompose_success_runs_no_gcd_and_no_table_product(monkeypatch):
     # A valid spec is decided by _peel alone: no pair scan, no validating gcd.
-    # A failing one names its pairs from the reads, again without any table
-    # product or dilation.
+    # A failing one names its pairs from the reads, again without any
+    # dilation.
     rng = random.Random(404)
     data = [random_structure_data(rng) for _ in range(30)] + [SD_257]
     specs = [SolutionSpec({p: closed_form(sd, p) for p in sd.primes}) for sd in data]
@@ -394,12 +394,10 @@ def test_decompose_success_runs_no_gcd_and_no_table_product(monkeypatch):
     assert len(failing) >= 10
     gcds = count_gcd_calls(monkeypatch)
     calls = []
-    for name in ("__mul__", "dilate"):
-        method = getattr(MultisetQuotient, name)
-        monkeypatch.setattr(
-            MultisetQuotient, name,
-            lambda *args, name=name, method=method: calls.append(name) or method(*args),
-        )
+    dilate = MultisetQuotient.dilate
+    monkeypatch.setattr(
+        MultisetQuotient, "dilate", lambda mq, d: calls.append(d) or dilate(mq, d)
+    )
     assert [decompose(spec) for spec in specs] == data
     for spec in failing:
         with pytest.raises(NotASolution) as exc:
@@ -475,18 +473,23 @@ class TestPeel:
         assert _peel(genuine) == {10**12: 1}
         assert time.perf_counter() - start < 0.1
 
-    def test_multiplies_no_quotients(self, monkeypatch):
-        # The one-pass design compares tables; it never forms a product.
+    def test_builds_no_quotients(self, monkeypatch):
+        # The one-pass design compares signed tables; it never builds a
+        # quotient.  genuine_quotients builds its own, so only the _peel
+        # calls are counted.
         calls = []
-        product = MultisetQuotient.__mul__
+        build = MultisetQuotient.from_exponents.__func__
         monkeypatch.setattr(
-            MultisetQuotient, "__mul__", lambda a, b: calls.append(1) or product(a, b)
+            MultisetQuotient, "from_exponents",
+            classmethod(lambda cls, table: calls.append(1) or build(cls, table)),
         )
         rng = random.Random(11)
         for _ in range(50):
             quotients, exponents = genuine_quotients(rng, (2, 3, 5))
+            before = len(calls)
             assert _peel(quotients) == dict(sorted(exponents.items()))
-        assert not calls
+            assert len(calls) == before
+        assert calls
 
 
 @st.composite
