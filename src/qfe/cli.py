@@ -49,27 +49,18 @@ def _require_degree(degree: int, name: str) -> None:
         raise argparse.ArgumentTypeError(f"{name} = {degree} is above MAX_DEGREE = {MAX_DEGREE}")
 
 
-def _generator_degrees(spec: SolutionSpec) -> dict[int, int]:
-    """{p: d_p}, d_p the larger degree of h_p's numerator and denominator."""
-    return {p: max(h.num.degree, h.den.degree) for p, h in spec.generators.items()}
-
-
-def _require_dilations(spec: SolutionSpec) -> None:
-    """Refuse a spec whose compatibility identity, which dilates h_p2 by p1
-    for every pair of primes p1 != p2, asks for a p1 * d_p2 above MAX_DEGREE."""
-    degrees = _generator_degrees(spec)
+def _require_spec_degrees(spec: SolutionSpec, *ns: int) -> None:
+    """With d_p the larger degree of h_p's numerator and denominator, refuse a
+    p1 * d_p2 above MAX_DEGREE for any primes p1 != p2 (the compatibility identity
+    dilates h_p2 by p1), then each f_n of the support with (n-1) * max_p d_p/(p-1)
+    above it: by induction on f(n) = f(n/p) * h_p(q**(n/p)), that bounds f_n."""
+    degrees = {p: max(h.num.degree, h.den.degree) for p, h in spec.generators.items()}
     dilated = [p1 * degrees[p2] for p1, p2 in permutations(degrees, 2)]
     _require_degree(max(dilated, default=0), "largest dilated generator degree")
-
-
-def _require_term_degree(spec: SolutionSpec, *ns: int) -> None:
-    """Refuse each f_n of the support for which (n-1) * max_p d_p/(p-1) is above
-    MAX_DEGREE.  By induction on f(n) = f(n/p) * h_p(q**(n/p)), that bounds the
-    degrees of f_n."""
     for n in ns:
         if in_support(spec.primes, n):
-            degrees = [(n - 1) * d // (p - 1) for p, d in _generator_degrees(spec).items()]
-            _require_degree(max(degrees, default=0), f"degree bound of f_{n}")
+            bounds = [(n - 1) * d // (p - 1) for p, d in degrees.items()]
+            _require_degree(max(bounds, default=0), f"degree bound of f_{n}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,7 +142,7 @@ def _cmd_qint(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     spec = load_solution_spec(args.spec)
-    _require_dilations(spec)
+    _require_spec_degrees(spec)
     violations = commutativity_violations(spec)
     text = ("violations: " + " ".join(f"({a}, {b})" for a, b in violations)) if violations else "ok"
     _emit(args, text, {"commutes": not violations, "violations": [list(v) for v in violations]})
@@ -160,8 +151,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = load_solution_spec(args.spec)
-    _require_dilations(spec)
-    _require_term_degree(spec, args.n)
+    _require_spec_degrees(spec, args.n)
     text = format_expr(synthesize(spec, args.n))
     _emit(args, text, {"expr": text})
     return 0
@@ -169,9 +159,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = load_solution_spec(args.spec)
-    _require_dilations(spec)
     # f_M and f_N are synthesized too, and may lie in the support when M*N does not.
-    _require_term_degree(spec, args.m * args.n, args.m, args.n)
+    _require_spec_degrees(spec, args.m * args.n, args.m, args.n)
     holds = verify_functional_equation(spec, args.m, args.n)
     _emit(args, "ok" if holds else "violated", {"holds": holds})
     return 0 if holds else 1

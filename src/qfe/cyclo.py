@@ -267,7 +267,7 @@ class MultisetQuotient(_Value):
     def __init__(self, num: Mapping[int, int] = {}, den: Mapping[int, int] = {}):
         for side, name in ((num, "num"), (den, "den")):
             for k, m in side.items():
-                if k < 1 or m < 1:
+                if not (isinstance(k, int) and isinstance(m, int) and k > 0 and m > 0):
                     raise ValueError(
                         f"{name} requires positive indices and multiplicities, "
                         f"got {k}: {m}"

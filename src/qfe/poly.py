@@ -6,11 +6,12 @@ factor with all of them, denoting sum(ints[i] * q**i) / den.  The zero
 polynomial is the empty tuple over 1; its degree is NEG_INFINITY so that
 degree comparisons stay total.  Equality and hashing compare the stored form.
 
-All arithmetic runs on integers, never on floats.  ``Fraction`` values are
-built only at the API boundary (``coeffs``, ``leading``, ``constant_term``,
-evaluation and printing).  Division, the gcd remainder sequence and the
-exact-divisibility tests of ``cyclo`` share one fraction-free division
-routine, ``_int_divmod``.
+All arithmetic runs on integers, never on floats.  Scalars are ``int`` or
+``Fraction``: ``_exact`` refuses a float or a string with TypeError instead
+of converting it.  ``Fraction`` values are built only at the API boundary
+(``coeffs``, ``leading``, ``constant_term``, evaluation and printing).
+Division, the gcd remainder sequence and the exact-divisibility tests of
+``cyclo`` share one fraction-free division routine, ``_int_divmod``.
 
 Values are immutable and all operations are pure, so polynomials may be
 shared freely between threads.
@@ -36,7 +37,7 @@ class Polynomial:
     __slots__ = ("_ints", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        values = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        values = [_exact(c) for c in coeffs]
         den = _lcm(*(v.denominator for v in values))
         p = _make([v.numerator * (den // v.denominator) for v in values], den)
         self._ints, self._den = p._ints, p._den
@@ -144,7 +145,7 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "Polynomial":
-        return _coerce(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -202,15 +203,14 @@ class Polynomial:
 
     def __call__(self, x: Scalar) -> Fraction:
         """Evaluate at a rational point (Horner)."""
-        x = Fraction(x)
+        x = _exact(x)
         acc = Fraction(0)
         for c in reversed(self._ints):
             acc = acc * x + c
         return acc / self._den
 
     def scaled(self, c: Scalar) -> "Polynomial":
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
+        c = _exact(c)
         if not c:
             return ZERO
         return _make([v * c.numerator for v in self._ints], self._den * c.denominator)
@@ -274,6 +274,13 @@ def _make(ints: list[int], den: int = 1) -> Polynomial:
     p._ints = tuple(ints) if g == 1 else tuple(c // g for c in ints)
     p._den = den // g
     return p
+
+
+def _exact(value: object) -> Scalar:
+    """value itself if it is an int or a Fraction; anything else raises TypeError."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"scalars must be int or Fraction, got {type(value).__name__} {value!r}")
 
 
 def _coerce(value: "Polynomial | Scalar") -> Polynomial:

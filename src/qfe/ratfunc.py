@@ -19,13 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._value import _Value
-from .poly import ONE, ZERO, Polynomial, Scalar, _coerce, gcd
-
-
-def _coerce_poly(value: "Polynomial | Scalar") -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial((value,))
+from .poly import ONE, ZERO, Polynomial, Scalar, _coerce, _exact, gcd
 
 
 class RationalFunction:
@@ -34,8 +28,7 @@ class RationalFunction:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num: "Polynomial | Scalar", den: "Polynomial | Scalar" = ONE):
-        num = _coerce_poly(num)
-        den = _coerce_poly(den)
+        num, den = (v if isinstance(v, Polynomial) else Polynomial((v,)) for v in (num, den))
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
@@ -120,7 +113,7 @@ class RationalFunction:
         return self + (-other)
 
     def __rsub__(self, other: "Polynomial | Scalar") -> "RationalFunction":
-        return _coerce_rf(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
         other = _coerce_rf(other)
@@ -148,7 +141,10 @@ class RationalFunction:
         return self * other.inverse()
 
     def __rtruediv__(self, other: "Polynomial | Scalar") -> "RationalFunction":
-        return _coerce_rf(other) * self.inverse()
+        other = _coerce_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero:
@@ -225,7 +221,7 @@ class StandardForm(_Value):
     __slots__ = ("scale", "shift", "num", "den")
 
     def __init__(self, scale: Scalar, shift: int, num: Polynomial, den: Polynomial):
-        scale = Fraction(scale)
+        scale = Fraction(_exact(scale))
         if not scale:
             raise ValueError("standard form requires a nonzero scale")
         for part, name in ((num, "num"), (den, "den")):

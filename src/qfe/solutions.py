@@ -17,8 +17,10 @@ were serialized.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
+from functools import reduce
 from itertools import combinations
+from operator import mul
 from types import MappingProxyType
 
 from .arith import is_prime
@@ -101,16 +103,17 @@ def commutativity_violations(spec: SolutionSpec) -> tuple[tuple[int, int], ...]:
         spec._violations = tuple(
             (p1, p2)
             for (p1, h1), (p2, h2) in combinations(spec.generators.items(), 2)
-            if not _commutes(h1, h2, p1, p2)
+            if not _products_equal((h1, h2.compose_power(p1)), (h2, h1.compose_power(p2)))
         )
     return spec._violations
 
 
-def _commutes(a: RationalFunction, b: RationalFunction, m: int, n: int) -> bool:
-    """a(q) * b(q**m) == b(q) * a(q**n), decided by cross-multiplying
-    numerators and denominators: no gcd runs."""
-    an, bm = a.compose_power(n), b.compose_power(m)
-    return a.num * bm.num * b.den * an.den == b.num * an.num * a.den * bm.den
+def _products_equal(left: Sequence[RationalFunction], right: Sequence[RationalFunction]) -> bool:
+    """prod(left) == prod(right) for nonzero factors, decided by cross-multiplying:
+    the numerators of left times the denominators of right against the
+    denominators of left times the numerators of right.  No gcd runs."""
+    lhs = reduce(mul, [a.num for a in left] + [b.den for b in right])
+    return lhs == reduce(mul, [a.den for a in left] + [b.num for b in right])
 
 
 def is_commutative(spec: SolutionSpec) -> bool:
@@ -168,8 +171,8 @@ def _term(spec: SolutionSpec, n: int) -> RationalFunction:
 def verify_functional_equation(spec: SolutionSpec, m: int, n: int) -> bool:
     """Check the law at both crossings on synthesized terms,
     f(m*n) == f_m(q) * f_n(q**m) and f(m*n) == f_n(q) * f_m(q**n), which is the
-    law and the symmetric identity together.  Each is decided by
-    cross-multiplying numerators and denominators: no gcd runs.
+    law and the symmetric identity together.  Each is one ``_products_equal``,
+    so no gcd runs.
 
     Holds vacuously (0 == 0) when the operands fall outside the support.
     """
@@ -179,9 +182,10 @@ def verify_functional_equation(spec: SolutionSpec, m: int, n: int) -> bool:
     fn = synthesize(spec, n)
     if fm.is_zero or fn.is_zero:
         return True  # then m*n is outside the support as well
-    fmn, g, h = synthesize(spec, m * n), fn.compose_power(m), fm.compose_power(n)
-    crossings = ((fm, g), (fn, h))
-    return all(fmn.num * a.den * b.den == fmn.den * a.num * b.num for a, b in crossings)
+    fmn = synthesize(spec, m * n)
+    return _products_equal((fmn,), (fm, fn.compose_power(m))) and _products_equal(
+        (fmn,), (fn, fm.compose_power(n))
+    )
 
 
 def combine(

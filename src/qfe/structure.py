@@ -24,6 +24,7 @@ from itertools import combinations
 from ._value import _Value
 from .arith import is_prime
 from .cyclo import MultisetQuotient, NonCyclotomicFactor, as_multiset_quotient
+from .poly import _exact
 from .ratfunc import RationalFunction, StandardForm, _assemble
 from .solutions import NotASolution, SolutionSpec, _reject_violations, in_support
 
@@ -36,8 +37,8 @@ class TooFewPrimes(ValueError):
 def validate_shift(primes: tuple[int, ...], shift: Fraction) -> bool:
     """True iff shift*(n-1) is an integer for every n in the support,
     equivalently iff the denominator of shift divides p - 1 for every p."""
-    shift = Fraction(shift)
-    return all((p - 1) % shift.denominator == 0 for p in primes)
+    den = _exact(shift).denominator
+    return all((p - 1) % den == 0 for p in primes)
 
 
 class StructureData(_Value):
@@ -57,20 +58,20 @@ class StructureData(_Value):
             raise TooFewPrimes(f"need at least two primes, got {list(primes)}")
         if list(primes) != sorted(set(primes)) or not all(is_prime(p) for p in primes):
             raise ValueError(f"primes must be strictly increasing primes: {list(primes)}")
-        scales = {p: Fraction(v) for p, v in scales.items()}
+        scales = {p: Fraction(_exact(v)) for p, v in scales.items()}
         if set(scales) != set(primes):
             raise ValueError("scales must be given exactly on the primes")
         if any(not v for v in scales.values()):
             raise ValueError("scales must be nonzero")
-        shift = Fraction(shift)
+        shift = Fraction(_exact(shift))
         if not validate_shift(primes, shift):
             raise ValueError(f"shift {shift} is not integral on the support of {list(primes)}")
         exponents = dict(exponents)
         for r, t in exponents.items():
-            if r < 1:
+            if not isinstance(r, int) or r < 1:
                 raise ValueError(f"exponent key {r} must be a positive integer")
-            if t == 0:
-                raise ValueError(f"exponent for r={r} must be nonzero")
+            if not isinstance(t, int) or t == 0:
+                raise ValueError(f"exponent for r={r} must be a nonzero integer")
         super().__init__(primes, scales, shift, exponents)
 
 

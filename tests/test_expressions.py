@@ -218,6 +218,10 @@ class TestEvaluation:
         with pytest.raises(ZeroDivisionError):
             evaluate("(q - q)^(-1)")
 
+    def test_non_node_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^not an expression node: 42$"):
+            eval_expr(42)
+
 
 class TestFormatting:
     def test_polynomial(self):

@@ -201,3 +201,12 @@ def test_mixed_type_operators(op, expected):
 def test_mixed_type_operator_rejects_strings():
     with pytest.raises(TypeError):
         MIXED_RF + "q"
+
+
+def test_reflected_division_by_the_zero_function():
+    with pytest.raises(ZeroDivisionError):
+        1 / RationalFunction.zero()
+
+
+def test_repr():
+    assert repr(RF(P(1, 1), P(-1, 1))) == "RationalFunction('(q + 1)/(q - 1)')"

@@ -239,6 +239,23 @@ def test_verify_composes_each_crossing_once(monkeypatch):
     assert not gcds
 
 
+def test_pair_scan_composes_each_generator_once_per_pair(monkeypatch):
+    # Per pair the scan composes h_p2(q**p1) and h_p1(q**p2) once each and forms
+    # the six products of one cross-multiplication, and runs no gcd.
+    spec = spec_257()
+    gcds = count_gcd_calls(monkeypatch)
+    calls = []
+    for cls, name in ((RationalFunction, "compose_power"), (Polynomial, "__mul__")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(
+            cls, name, lambda a, b, name=name, method=method: calls.append(name) or method(a, b)
+        )
+    assert commutativity_violations(spec) == ()
+    pairs = len(spec.primes) * (len(spec.primes) - 1) // 2
+    assert (calls.count("compose_power"), calls.count("__mul__")) == (2 * pairs, 6 * pairs)
+    assert not gcds
+
+
 def test_spec_repr():
     assert repr(SolutionSpec({2: Polynomial([1, 1]), 3: 1})) == "SolutionSpec({2: q + 1, 3: 1})"
 
