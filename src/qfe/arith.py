@@ -7,10 +7,17 @@ the odd numbers up to the square root of what is left of n.
 from __future__ import annotations
 
 
+def _index(value: object, least: int, message: str) -> int:
+    """value itself if it is an int, not a bool, and at least least; anything
+    else raises ValueError(message.format(value)).  The integer argument rule."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
+        return value
+    raise ValueError(message.format(value))
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, primes ascending."""
-    if n < 1:
-        raise ValueError(f"cannot factorize {n}: positive integer required")
+    _index(n, 1, "cannot factorize {!r}: positive integer required")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -30,12 +37,13 @@ _MILLER_RABIN_EXACT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Primality of n by deterministic Miller-Rabin; ValueError from
-    3317044064679887385961981 up, where no test of bounded time is at hand."""
+    """Primality of n by deterministic Miller-Rabin; False for anything but an
+    int, a bool included; ValueError from 3317044064679887385961981 up, where
+    no test of bounded time is at hand."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        return False
     if n >= _MILLER_RABIN_EXACT:
         raise ValueError(f"primality of {n} is undecided at or above {_MILLER_RABIN_EXACT}")
-    if n < 2:
-        return False
     for a in _MILLER_RABIN_BASES:
         if n % a == 0:
             return n == a
@@ -55,8 +63,7 @@ def is_prime(n: int) -> bool:
 
 def moebius(k: int) -> int:
     """Moebius function: (-1)**(number of primes) on squarefree k, else 0."""
-    if k < 1:
-        raise ValueError(f"moebius({k}): positive integer required")
+    _index(k, 1, "moebius({!r}): positive integer required")
     f = factorize(k)
     if any(e > 1 for e in f.values()):
         return 0

@@ -32,7 +32,7 @@ from math import isqrt
 from operator import sub
 
 from ._value import _Value
-from .arith import divisors, factorize
+from .arith import _index, divisors, factorize
 from .poly import ONE, Polynomial, _int_divmod, _int_primitive, _make
 from .ratfunc import RationalFunction
 
@@ -49,8 +49,7 @@ __all__ = [
 
 def q_power_minus_one(k: int) -> Polynomial:
     """The polynomial q**k - 1."""
-    if k < 1:
-        raise ValueError(f"q_power_minus_one requires k >= 1, got {k}")
+    _index(k, 1, "q_power_minus_one requires k >= 1, got {!r}")
     return Polynomial.monomial(k) - ONE
 
 
@@ -58,8 +57,7 @@ def q_power_minus_one(k: int) -> Polynomial:
 def cyclotomic(k: int) -> Polynomial:
     """The k-th cyclotomic polynomial: monic, integer coefficients,
     degree euler_phi(k); expanded by ``_cyclotomic_product``."""
-    if k < 1:
-        raise ValueError(f"cyclotomic requires k >= 1, got {k}")
+    _index(k, 1, "cyclotomic requires k >= 1, got {!r}")
     return _cyclotomic_product({k: 1})
 
 
@@ -266,12 +264,10 @@ class MultisetQuotient(_Value):
 
     def __init__(self, num: Mapping[int, int] = {}, den: Mapping[int, int] = {}):
         for side, name in ((num, "num"), (den, "den")):
+            message = name + " requires positive indices and multiplicities, got {!r}"
             for k, m in side.items():
-                if not (isinstance(k, int) and isinstance(m, int) and k > 0 and m > 0):
-                    raise ValueError(
-                        f"{name} requires positive indices and multiplicities, "
-                        f"got {k}: {m}"
-                    )
+                _index(k, 1, message)
+                _index(m, 1, message)
         common = num.keys() & den.keys()
         if common:
             raise ValueError(f"num and den must be disjoint; both contain {sorted(common)}")
@@ -293,8 +289,7 @@ class MultisetQuotient(_Value):
     def dilate(self, d: int) -> "MultisetQuotient":
         """Multiply every index by d; mirrors the substitution q -> q**d,
         since (q**d)**k - 1 = q**(d*k) - 1."""
-        if d < 1:
-            raise ValueError(f"dilate requires d >= 1, got {d}")
+        _index(d, 1, "dilate requires d >= 1, got {!r}")
         return MultisetQuotient.from_exponents({d * k: e for k, e in self.exponents().items()})
 
     def value(self) -> RationalFunction:

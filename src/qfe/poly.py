@@ -24,6 +24,8 @@ from fractions import Fraction
 from math import gcd as _igcd
 from math import lcm as _lcm
 
+from .arith import _index
+
 Scalar = int | Fraction
 
 #: Degree of the zero polynomial; compares below every integer.
@@ -45,8 +47,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, power: int, coeff: Scalar = 1) -> "Polynomial":
         """coeff * q**power."""
-        if power < 0:
-            raise ValueError(f"monomial power must be >= 0, got {power}")
+        _index(power, 0, "monomial power must be >= 0, got {!r}")
         return cls([0] * power + [coeff])
 
     @property
@@ -168,16 +169,17 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
+        if not isinstance(exponent, int):
+            raise TypeError(f"exponents must be int, got {type(exponent).__name__} {exponent!r}")
         if exponent < 0:
             raise ValueError("negative polynomial power; use RationalFunction")
         result = ONE
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while exponent:
+            if exponent & 1:
                 result = result * base
-            e >>= 1
-            if e:
+            exponent >>= 1
+            if exponent:
                 base = base * base
         return result
 
@@ -231,8 +233,7 @@ class Polynomial:
 
     def compose_power(self, m: int) -> "Polynomial":
         """Substitute q -> q**m; the degree becomes m * degree."""
-        if m < 1:
-            raise ValueError(f"compose_power requires m >= 1, got {m}")
+        _index(m, 1, "compose_power requires m >= 1, got {!r}")
         if m == 1 or self.is_zero:
             return self
         out = [0] * (m * (len(self._ints) - 1) + 1)
@@ -301,8 +302,8 @@ def quantum_integer(n: int, r: int = 1) -> Polynomial:
 
     Degree r*(n-1); every coefficient is 0 or 1.
     """
-    if n < 1 or r < 1:
-        raise ValueError(f"quantum_integer requires n, r >= 1, got ({n}, {r})")
+    _index(n, 1, "quantum_integer requires n, r >= 1, got n = {!r}")
+    _index(r, 1, "quantum_integer requires n, r >= 1, got r = {!r}")
     out = [0] * (r * (n - 1) + 1)
     out[::r] = [1] * n
     return _make(out)

@@ -152,9 +152,9 @@ class RationalFunction:
         return RationalFunction._reduced(*_monic_den(self._den, self._num))
 
     def __pow__(self, exponent: int) -> "RationalFunction":
-        if exponent == 0:
-            return RationalFunction.one()
-        base = self if exponent > 0 else self.inverse()
+        if not isinstance(exponent, int):
+            raise TypeError(f"exponents must be int, got {type(exponent).__name__} {exponent!r}")
+        base = self if exponent >= 0 else self.inverse()
         num = base._num ** abs(exponent)
         den = base._den ** abs(exponent)
         return RationalFunction._reduced(num, den)
@@ -162,8 +162,6 @@ class RationalFunction:
     def compose_power(self, m: int) -> "RationalFunction":
         """Substitute q -> q**m.  Coprimality and monicity survive the
         substitution, so no re-reduction is needed."""
-        if m == 1:
-            return self
         return RationalFunction._reduced(
             self._num.compose_power(m), self._den.compose_power(m)
         )

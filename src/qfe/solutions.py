@@ -23,7 +23,7 @@ from itertools import combinations
 from operator import mul
 from types import MappingProxyType
 
-from .arith import is_prime
+from .arith import _index, is_prime
 from .poly import quantum_integer
 from .ratfunc import RationalFunction
 
@@ -49,8 +49,7 @@ class NotASolution(ValueError):
 def in_support(primes: Iterable[int], n: int) -> bool:
     """True iff every prime factor of n lies in primes; n = 1 always qualifies.
     Divides the primes out of n, so n itself is never factorized."""
-    if n < 1:
-        raise ValueError(f"support membership requires n >= 1, got {n}")
+    _index(n, 1, "support membership requires n >= 1, got {!r}")
     for p in primes:
         while p > 1 and n % p == 0:
             n //= p
@@ -143,8 +142,7 @@ def synthesize(spec: SolutionSpec, n: int) -> RationalFunction:
 
     Raises NotASolution if the generators fail the compatibility check.
     """
-    if n < 1:
-        raise ValueError(f"synthesize requires n >= 1, got {n}")
+    _index(n, 1, "synthesize requires n >= 1, got {!r}")
     _require_commutative(spec)
     return _term(spec, n)
 
@@ -176,8 +174,8 @@ def verify_functional_equation(spec: SolutionSpec, m: int, n: int) -> bool:
 
     Holds vacuously (0 == 0) when the operands fall outside the support.
     """
-    if m < 1 or n < 1:
-        raise ValueError("verify requires m, n >= 1")
+    _index(m, 1, "verify requires m, n >= 1, got m = {!r}")
+    _index(n, 1, "verify requires m, n >= 1, got n = {!r}")
     fm = synthesize(spec, m)
     fn = synthesize(spec, n)
     if fm.is_zero or fn.is_zero:
@@ -204,8 +202,8 @@ def combine(
     """
     if f.primes != g.primes:
         raise ValueError(f"prime sets differ: {f.primes} vs {g.primes}")
-    if dilate_f < 1 or dilate_g < 1:
-        raise ValueError("dilations must be >= 1")
+    _index(dilate_f, 1, "dilations must be >= 1, got dilate_f = {!r}")
+    _index(dilate_g, 1, "dilations must be >= 1, got dilate_g = {!r}")
     return SolutionSpec(
         {
             p: f.generator(p).compose_power(dilate_f) ** power_f

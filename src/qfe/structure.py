@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from ._value import _Value
-from .arith import is_prime
+from .arith import _index, is_prime
 from .cyclo import MultisetQuotient, NonCyclotomicFactor, as_multiset_quotient
 from .poly import _exact
 from .ratfunc import RationalFunction, StandardForm, _assemble
@@ -68,9 +68,8 @@ class StructureData(_Value):
             raise ValueError(f"shift {shift} is not integral on the support of {list(primes)}")
         exponents = dict(exponents)
         for r, t in exponents.items():
-            if not isinstance(r, int) or r < 1:
-                raise ValueError(f"exponent key {r} must be a positive integer")
-            if not isinstance(t, int) or t == 0:
+            _index(r, 1, "exponent key {!r} must be a positive integer")
+            if not isinstance(t, int) or isinstance(t, bool) or t == 0:
                 raise ValueError(f"exponent for r={r} must be a nonzero integer")
         super().__init__(primes, scales, shift, exponents)
 
@@ -78,9 +77,9 @@ class StructureData(_Value):
 def scale_at(sd: StructureData, n: int) -> Fraction:
     """Extend the scale multiplicatively: scale(prod p**a) = prod scale(p)**a.
     Divides the primes out of n once, so n itself is never factorized."""
-    out, m = Fraction(1), n
+    out, m = Fraction(1), _index(n, 1, "scale_at requires n >= 1, got {!r}")
     for p in sd.primes:
-        while m and m % p == 0:
+        while m % p == 0:
             m, out = m // p, out * sd.scales[p]
     if m != 1:
         raise ValueError(f"{n} is outside the support of {list(sd.primes)}")
@@ -92,8 +91,7 @@ def closed_form(sd: StructureData, n: int) -> RationalFunction:
     otherwise scale(n) * q**(shift*(n-1)) * prod [n]_{q**r}**t exactly.
     The product is the q**k - 1 exponent table ``_quantum_table(exponents, n)``.
     """
-    if n < 1:
-        raise ValueError(f"closed_form requires n >= 1, got {n}")
+    _index(n, 1, "closed_form requires n >= 1, got {!r}")
     if not in_support(sd.primes, n):
         return RationalFunction.zero()
     product = MultisetQuotient.from_exponents(_quantum_table(sd.exponents, n)).value()
