@@ -7,12 +7,20 @@ the odd numbers up to the square root of what is left of n.
 from __future__ import annotations
 
 
-def _index(value: object, least: int, message: str) -> int:
-    """value itself if it is an int, not a bool, and at least least; anything
-    else raises ValueError(message.format(value)).  The integer argument rule."""
-    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
+def _index(value: object, least: int | None, message: str) -> int:
+    """value itself if it is an int, not a bool, and at least least (any int
+    when least is None); anything else raises ValueError(message.format(value)).
+    The integer argument rule."""
+    if isinstance(value, int) and not isinstance(value, bool) and (least is None or value >= least):
         return value
-    raise ValueError(message.format(value))
+    try:
+        text = message.format(value)
+    except ValueError:  # the value has more digits than str() may write
+        name = type(value).__name__
+        if isinstance(value, int):
+            name = f"{'negative ' if value < 0 else ''}{name} of {value.bit_length()} bits"
+        text = message.replace("{!r}", f"<{name}>")
+    raise ValueError(text)
 
 
 def factorize(n: int) -> dict[int, int]:

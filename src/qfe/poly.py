@@ -225,7 +225,7 @@ class Polynomial:
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by q**k; k < 0 divides and requires divisibility by q**-k."""
-        if k >= 0:
+        if _index(k, None, "shift requires an integer k, got {!r}") >= 0:
             return _make([0] * k + list(self._ints), self._den)
         if any(self._ints[: -k]):
             raise ValueError(f"not divisible by q^{-k}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._value import _Value
+from .arith import _index
 from .poly import ONE, ZERO, Polynomial, Scalar, _coerce, _exact, gcd
 
 
@@ -220,6 +221,7 @@ class StandardForm(_Value):
 
     def __init__(self, scale: Scalar, shift: int, num: Polynomial, den: Polynomial):
         scale = Fraction(_exact(scale))
+        _index(shift, None, "standard form shift must be an integer, got {!r}")
         if not scale:
             raise ValueError("standard form requires a nonzero scale")
         for part, name in ((num, "num"), (den, "den")):

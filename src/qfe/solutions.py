@@ -10,6 +10,14 @@ identity
 so ``SolutionSpec`` carries the generators, and ``synthesize`` builds any
 f_n from them after checking that identity once.
 
+That identity and the law checked by ``verify_functional_equation`` are each
+an equality of two products of rational functions, which ``_products_equal``
+decides without a gcd or a polynomial product.  It cross-multiplies to an
+identity D_r * prod(ints_l) == D_l * prod(ints_r) of integer polynomials and
+evaluates both sides at q = 2**W, with 2**(W - 1) above the bound
+B = D_r * prod ||ints_l||_1 + D_l * prod ||ints_r||_1 on the coefficients of
+their difference, so that the two values are equal exactly when the sides are.
+
 Synthesized terms are memoized per spec; the cache only ever stores the
 value a recomputation would produce, so concurrent use behaves as if calls
 were serialized.
@@ -85,7 +93,7 @@ class SolutionSpec:
         return MappingProxyType(self._generators)
 
     def generator(self, p: int) -> RationalFunction:
-        return self._generators[p]
+        return self._generators[_index(p, None, "generator key must be an int, got {!r}")]
 
     def __repr__(self) -> str:
         gens = ", ".join(f"{p}: {h}" for p, h in self._generators.items())
@@ -108,11 +116,43 @@ def commutativity_violations(spec: SolutionSpec) -> tuple[tuple[int, int], ...]:
 
 
 def _products_equal(left: Sequence[RationalFunction], right: Sequence[RationalFunction]) -> bool:
-    """prod(left) == prod(right) for nonzero factors, decided by cross-multiplying:
-    the numerators of left times the denominators of right against the
-    denominators of left times the numerators of right.  No gcd runs."""
-    lhs = reduce(mul, [a.num for a in left] + [b.den for b in right])
-    return lhs == reduce(mul, [a.den for a in left] + [b.num for b in right])
+    """prod(left) == prod(right) for nonzero factors, decided exactly by one
+    big-integer evaluation (Kronecker substitution).  No gcd and no
+    polynomial product runs.
+
+    Cross-multiplied, the identity is prod(ls) == prod(rs) for the numerators
+    of left with the denominators of right, ls, against the denominators of
+    left with the numerators of right, rs.  With each polynomial written as
+    ints / den, that is D_r * prod(ints_l) == D_l * prod(ints_r) between
+    integer polynomials, D_l and D_r the products of the dens of ls and rs.
+    Every coefficient of the difference of the two sides is at most
+
+        B = D_r * prod ||ints_l||_1 + D_l * prod ||ints_r||_1
+
+    in absolute value.  So with 2**(W - 1) > B the difference is zero exactly
+    when its value at q = 2**W is 0, and each side is evaluated there as one
+    product of integers.  A factor's coefficients c lie in the same range, so
+    each packs into a W-bit slot as c + 2**(W - 1), and the packed integer,
+    less the one with 2**(W - 1) in every slot, is the factor's value.
+    """
+    ls = [a.num for a in left] + [b.den for b in right]
+    rs = [a.den for a in left] + [b.num for b in right]
+    if sum(len(p._ints) for p in ls) != sum(len(p._ints) for p in rs):
+        return False  # ls and rs hold as many factors, so the degrees differ
+    dl = reduce(mul, [p._den for p in ls])
+    dr = reduce(mul, [p._den for p in rs])
+    norm_l = reduce(mul, [sum(map(abs, p._ints)) for p in ls])
+    norm_r = reduce(mul, [sum(map(abs, p._ints)) for p in rs])
+    width = (dr * norm_l + dl * norm_r).bit_length() // 8 + 1  # W = 8 * width bits
+    half = 1 << (8 * width - 1)
+    mid = half.to_bytes(width, "little")
+
+    def value(ints: Sequence[int]) -> int:
+        packed = b"".join([(c + half).to_bytes(width, "little") if c else mid for c in ints])
+        return int.from_bytes(packed, "little") - int.from_bytes(mid * len(ints), "little")
+
+    lhs = reduce(mul, [value(p._ints) for p in ls], dr)
+    return lhs == reduce(mul, [value(p._ints) for p in rs], dl)
 
 
 def is_commutative(spec: SolutionSpec) -> bool:
@@ -161,7 +201,7 @@ def _term(spec: SolutionSpec, n: int) -> RationalFunction:
         m //= p
     value = terms[m]
     for m, p in reversed(steps):
-        value = value * spec.generator(p).compose_power(m // p)
+        value = value * spec._generators[p].compose_power(m // p)
     terms[n] = value
     return value
 

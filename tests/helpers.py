@@ -4,13 +4,15 @@ The oracles here deliberately take different routes than the library code:
 compositions go through Horner evaluation in the polynomial ring, cyclotomic
 polynomials through the Moebius product over q**d - 1, Moebius values
 through naive squarefree inspection, and closed forms through dense
-quantum-integer products reduced by a gcd.  Five are earlier designs of
+quantum-integer products reduced by a gcd.  Six are earlier designs of
 library routines, kept as references: ``peel_greedy`` removes one
 quantum-integer factor per round, ``term_by_fold`` folds prime powers,
 ``cyclo_factor_by_scan`` trial-divides by every candidate Phi_d,
 ``multiset_value_by_two_products`` expands both sides of a quotient by
-their own Moebius transform, and ``violations_by_field_products`` checks the
-compatibility identity by reduced products in the rational-function field.
+their own Moebius transform, ``violations_by_field_products`` checks the
+compatibility identity by reduced products in the rational-function field,
+and ``products_equal_by_cross_multiplying`` compares two products of
+rational functions by multiplying out polynomials.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import mul
 
 import qfe.poly
 import qfe.ratfunc
@@ -290,6 +294,15 @@ def violations_by_field_products(spec: SolutionSpec) -> tuple[tuple[int, int], .
         if spec.generator(p1) * spec.generator(p2).compose_power(p1)
         != spec.generator(p2) * spec.generator(p1).compose_power(p2)
     )
+
+
+def products_equal_by_cross_multiplying(left, right) -> bool:
+    """prod(left) == prod(right) for nonzero rational functions: the
+    numerators of left times the denominators of right against the
+    denominators of left times the numerators of right, each side multiplied
+    out as one Polynomial."""
+    lhs = reduce(mul, [a.num for a in left] + [b.den for b in right])
+    return lhs == reduce(mul, [a.den for a in left] + [b.num for b in right])
 
 
 def count_gcd_calls(monkeypatch) -> list:

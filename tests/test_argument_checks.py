@@ -80,6 +80,16 @@ def structure() -> StructureData:
         (lambda: cyclotomic(True), "cyclotomic requires k >= 1, got True"),
         (lambda: MultisetQuotient({2: True}),
          "num requires positive indices and multiplicities, got True"),
+        # A signed integer argument passes the same rule with no bound.
+        (lambda: Polynomial((1, 1)).shift(True), "shift requires an integer k, got True"),
+        (lambda: Polynomial((1, 1)).shift(1.5), "shift requires an integer k, got 1.5"),
+        (lambda: StandardForm(1, 1.5, ONE, ONE), "standard form shift must be an integer, got 1.5"),
+        (lambda: StandardForm(1, True, ONE, ONE), "standard form shift must be an integer, got True"),
+        (lambda: SolutionSpec({2: 1}).generator(2.0), "generator key must be an int, got 2.0"),
+        # A value past the int/str digit limit is named by its size.
+        (lambda: synthesize(spec_257(), -(10**5000)),
+         "synthesize requires n >= 1, got <negative int of 16610 bits>"),
+        (lambda: synthesize(spec_257(), Fraction(10**5000, 3)), "synthesize requires n >= 1, got <Fraction>"),
     ],
 )
 def test_out_of_domain_argument(call, message):

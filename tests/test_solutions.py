@@ -1,13 +1,19 @@
 import random
+from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+from operator import mul
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qfe.poly import ONE, Polynomial, quantum_integer
 from qfe.ratfunc import RationalFunction
 from qfe.solutions import (
     NotASolution,
     SolutionSpec,
+    _products_equal,
     combine,
     commutativity_violations,
     in_support,
@@ -22,6 +28,7 @@ from qfe.structure import StructureData, closed_form
 from helpers import (
     _term_in_order,
     count_gcd_calls,
+    products_equal_by_cross_multiplying,
     random_nonzero_fraction,
     random_nonzero_polynomial,
     random_structure_data,
@@ -222,8 +229,8 @@ class TestVerify:
 
 
 def test_verify_composes_each_crossing_once(monkeypatch):
-    # On memoized terms verify composes f_n(q**m) and f_m(q**n) once each and
-    # forms the four products of each cross-multiplication, and nothing more.
+    # On memoized terms verify composes f_n(q**m) and f_m(q**n) once each, and
+    # each crossing is decided by evaluation, with no polynomial product.
     spec, m, n = spec_257(), 2, 35
     for k in (m, n, m * n):
         synthesize(spec, k)
@@ -235,13 +242,13 @@ def test_verify_composes_each_crossing_once(monkeypatch):
             cls, name, lambda a, b, name=name, method=method: calls.append(name) or method(a, b)
         )
     assert verify_functional_equation(spec, m, n)
-    assert (calls.count("compose_power"), calls.count("__mul__")) == (2, 8)
+    assert (calls.count("compose_power"), calls.count("__mul__")) == (2, 0)
     assert not gcds
 
 
 def test_pair_scan_composes_each_generator_once_per_pair(monkeypatch):
-    # Per pair the scan composes h_p2(q**p1) and h_p1(q**p2) once each and forms
-    # the six products of one cross-multiplication, and runs no gcd.
+    # Per pair the scan composes h_p2(q**p1) and h_p1(q**p2) once each, and
+    # decides the identity by evaluation, with no polynomial product and no gcd.
     spec = spec_257()
     gcds = count_gcd_calls(monkeypatch)
     calls = []
@@ -252,8 +259,82 @@ def test_pair_scan_composes_each_generator_once_per_pair(monkeypatch):
         )
     assert commutativity_violations(spec) == ()
     pairs = len(spec.primes) * (len(spec.primes) - 1) // 2
-    assert (calls.count("compose_power"), calls.count("__mul__")) == (2 * pairs, 6 * pairs)
+    assert (calls.count("compose_power"), calls.count("__mul__")) == (2 * pairs, 0)
     assert not gcds
+
+
+coefficients = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
+nonzero_polynomials = st.lists(coefficients, min_size=1, max_size=5).map(Polynomial).filter(bool)
+# Nonzero rational functions with Fraction and negative coefficients, dilated
+# q -> q**d as the pair scan and verify dilate them.
+factors = st.builds(
+    lambda num, den, d: RationalFunction(num, den).compose_power(d),
+    nonzero_polynomials,
+    nonzero_polynomials,
+    st.integers(1, 3),
+)
+
+
+class TestProductsEqual:
+    """``_products_equal`` evaluates both sides at a power of 2; it must agree
+    with multiplying the products out."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(factors, min_size=1, max_size=3), st.lists(factors, min_size=1, max_size=3))
+    def test_agrees_on_unrelated_products(self, left, right):
+        assert _products_equal(left, right) == products_equal_by_cross_multiplying(left, right)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(factors, min_size=1, max_size=3),
+        factors,
+        st.sampled_from([None, (-1, 1), (-1, -1), (0, 1), (0, -1)]),
+    )
+    def test_agrees_on_regrouped_products(self, left, g, change):
+        # prod(left) regrouped as (prod(left) * g) * (1 / g), then, unless
+        # change is None, its top (-1) or constant (0) numerator coefficient
+        # moved by +-1.
+        head = reduce(mul, left) * g
+        if change is not None:
+            index, step = change
+            coeffs = list(head.num.coeffs)
+            coeffs[index] += step
+            num = Polynomial(coeffs)
+            assume(num)
+            head = RationalFunction(num, head.den)
+        right = [head, g.inverse()]
+        assert _products_equal(left, right) == products_equal_by_cross_multiplying(left, right)
+        assert _products_equal(left, right) == (change is None)
+
+    @pytest.mark.parametrize("k, j", [(0, 0), (0, 1), (1, 0), (3, 2), (8, 0), (7, 9), (20, 20)])
+    def test_coefficients_at_the_bound(self, k, j):
+        # c * (q + 1)**k * (q - 1)**j against its expansion.  With j = 0 the
+        # expansion's L1 norm is the product of the factors' norms, and with
+        # k = j = 0 its one coefficient c is the bound itself; the values of c
+        # put that bound on both sides of a slot-width step.
+        linear = [RationalFunction(P(1, 1))] * k + [RationalFunction(P(-1, 1))] * j
+        expansion = P(1, 1) ** k * P(-1, 1) ** j
+        for c in (1, -1, 127, 128, 2**15 - 1, -(2**31)):
+            left = linear + [RationalFunction(c)]
+            right = [RationalFunction(expansion * c)]
+            assert _products_equal(left, right) and _products_equal(right, left)
+            for index in (0, -1):
+                for step in (1, -1):
+                    coeffs = list((expansion * c).coeffs)
+                    coeffs[index] += step
+                    moved = Polynomial(coeffs)
+                    if moved:
+                        wrong = [RationalFunction(moved)]
+                        assert _products_equal(left, wrong) == products_equal_by_cross_multiplying(
+                            left, wrong
+                        )
+                        assert not _products_equal(left, wrong)
+
+    def test_unequal_products_of_equal_degree(self):
+        # (q + 1)(q - 1) = q**2 - 1 against q**2 + 1: same degree, different sign.
+        left = [RationalFunction(P(1, 1)), RationalFunction(P(-1, 1))]
+        assert not _products_equal(left, [RationalFunction(P(1, 0, 1))])
+        assert _products_equal(left, [RationalFunction(P(-1, 0, 1))])
 
 
 def test_spec_repr():
