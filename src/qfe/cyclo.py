@@ -11,6 +11,14 @@ cyclotomics through powers of q**j - 1.
 ``cyclo_factor`` decides whether a polynomial vanishes only at 0 and at
 roots of unity by actually producing the factorization unit * q**a *
 prod Phi_d**m_d, and reports the stubborn residual factor when it cannot.
+A product of cyclotomics is a signed product of factors (1 - q**j)**a_j,
+so the a_j are read off its power series one coefficient at a time (the
+inverse Euler transform, N. J. A. Sloane and S. Plouffe, The Encyclopedia
+of Integer Sequences, 1995), by ``_expand``'s kernel run backwards, and
+certified with no division: the read stops past sum |a_j| = 2 * degree,
+completes one factor too high to show in the series, and holds when the
+net exponents of the Phi_d are all >= 0.  Only a polynomial that is no
+such product meets the scan over candidate Phi_d, which finds its residual.
 
 ``MultisetQuotient`` is the unique representation of such a quotient as
 
@@ -26,9 +34,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, compress
-from math import isqrt
+from math import gcd, isqrt
 from operator import sub
 
 from ._value import _Value
@@ -100,6 +108,18 @@ def _cyclotomic_product(exponents: Mapping[int, int]) -> Polynomial:
     return _expand(_moebius_table({d: e for d, e in exponents.items() if e > 0}))
 
 
+def _times_unit(c: list[int], j: int) -> None:
+    """c *= 1 - q**j in place, as a power series cut after len(c) terms."""
+    c[j:] = map(sub, c[j:], c[:-j])
+
+
+def _over_unit(c: list[int], j: int) -> None:
+    """c /= 1 - q**j in place, as a power series cut after len(c) terms:
+    the running sum along each residue class mod j that has two terms."""
+    for i in range(min(j, len(c) - j)):
+        c[i::j] = accumulate(c[i::j])
+
+
 def _expand(table: Mapping[int, int]) -> Polynomial:
     """prod (q**j - 1)**a over a signed table whose product is a polynomial.
 
@@ -111,10 +131,9 @@ def _expand(table: Mapping[int, int]) -> Polynomial:
     c = [1] + [0] * sum(j * a for j, a in table.items())
     for j, a in table.items():
         for _ in range(a):
-            c[j:] = map(sub, c[j:], c[:-j])
+            _times_unit(c, j)
         for _ in range(-a):
-            for i in range(min(j, len(c))):
-                c[i::j] = accumulate(c[i::j])
+            _over_unit(c, j)
     return _make([-v for v in c] if sum(table.values()) % 2 else c)
 
 
@@ -194,10 +213,111 @@ def _cyclotomic_at(x: int, d: int, primes: Iterable[int]) -> int:
     return num // den
 
 
+def _inverse_euler(series: list[int], n: int, top: int) -> dict[int, int] | None:
+    """The table {j: a} of the j < n with series == prod (1 - q**j)**a
+    mod q**n, for an integer series with series[0] == 1; None once the a
+    show that series is no product of cyclotomics of degree top.
+
+    The lowest term left at q**j, once (1 - q**i)**a_i is removed for every
+    i < j, is -a_j q**j, so the a_j come off in turn by ``_expand``'s passes
+    run the other way.  Two bounds hold for every such product, so passing
+    either ends the read: sum |a_j| <= 2 * top, and the power sums
+    s_k = sum_{j | k} j * a_j of its top roots of unity have |s_k| <= top.
+    """
+    c = series[:n] + [0] * (n - len(series))
+    s = [0] * n
+    table: dict[int, int] = {}
+    budget = 2 * top
+    for j in range(1, n):
+        a = -c[j]
+        if a:
+            budget -= abs(a)
+            if budget < 0 or abs(s[j] + j * a) > top:
+                return None
+            table[j] = a
+            s[j::j] = [v + j * a for v in s[j::j]]
+            for _ in range(a):
+                _over_unit(c, j)
+            for _ in range(-a):
+                _times_unit(c, j)
+        elif abs(s[j]) > top:
+            return None
+    return table
+
+
+def _read_exponents(ints: list[int]) -> dict[int, int] | None:
+    """The exponents {d: m}, ascending in d, with ints == +-prod Phi_d**m,
+    read off the power series; None exactly when ints is no product of
+    cyclotomics.  See ``cyclo_factor`` for the read and its certificate."""
+    if ints[0] not in (1, -1):
+        return None
+    flipped = ints[::-1]
+    if flipped != ints and flipped != [-v for v in ints]:
+        return None
+    # ints is F(q**step): the series of F is read, and its table dilated by
+    # step is the table of ints.
+    step = reduce(gcd, compress(range(len(ints)), ints), 0) or 1
+    series = ints[::step] if ints[0] == 1 else [-v for v in ints[::step]]
+    top = len(series) - 1
+    last = top * (2 * top * top).bit_length()
+    n = top + 1
+    while True:
+        read = _inverse_euler(series, n, top)
+        if read is None:
+            return None
+        rest = top - sum(j * a for j, a in read.items())
+        if rest >= n:
+            read[rest] = 1
+        if rest == 0 or rest >= n:
+            table = {step * j: a for j, a in read.items()}
+            net: dict[int, int] = {}
+            for j, a in table.items():
+                for d in divisors(j):
+                    net[d] = net.get(d, 0) + a
+            if min(net.values(), default=0) >= 0:
+                return {d: net[d] for d in sorted(net) if net[d]}
+        if n > last:
+            return None
+        n = min(2 * n, last + 1)
+
+
 def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     """Factor p as unit * q**a * prod Phi_d**m exactly, or raise
     NonCyclotomicFactor carrying the residual.
 
+    The factors are read off the power series first (``_read_exponents``).
+    Let f be the primitive integer body and D its degree.  A product of
+    cyclotomics has f(0) = +-1 and is palindromic or anti-palindromic, so
+    any other f goes straight to the scan below.  Normalized to f(0) = 1,
+    f = prod (1 - q**j)**a_j, and the a_j come off in turn mod q**n, from
+    n = D + 1, one stride pass of ``_expand`` per unit of |a_j|.  When
+    f = F(q**step), step the gcd of the exponents of f, F is read instead,
+    and its table dilated by step is the table of f.
+
+    - Budget.  Phi_d = +-prod (1 - q**(d/s))**moebius(s) over the
+      squarefree s | d has 2**w terms, w the number of primes of d, and
+      2**w <= 2 * euler_phi(d), as p - 1 >= 2 for every odd prime p.  So
+      a product of degree D has sum |a_j| <= 2 * D, and the read gives up
+      past that.  Its D roots are roots of unity, so their power sums
+      s_k = sum_{j | k} j * a_j have |s_k| <= D too: past that the read
+      gives up as well, which stops a non-cyclotomic f such as Lehmer's
+      polynomial within a few multiples of D.
+    - High factor.  The j >= n leave no trace mod q**n.  Their sum of
+      j * a_j is rest = D - sum_{j < n} j * a_j; rest >= n is taken for
+      the one factor 1 - q**rest.  With n = D + 1 this completes every
+      [p]_{q**r}, whose top index r * p is above its degree.  Any other
+      nonzero rest leaves the read uncertified.
+    - Certificate.  When the net exponents m_d = sum_{d | j} a_j are all
+      >= 0, g = +-prod (1 - q**j)**a_j is +-prod Phi_d**m_d, a polynomial
+      of degree sum m_d * euler_phi(d) = sum j * a_j = D that agrees with
+      f mod q**n, n > D.  So f = g, and no division checks it.
+    - Precision.  An uncertified read runs again with n doubled, until
+      n > D * bitlen(2 * D**2).  Every index of a product is at most that
+      bound (proof below), so then rest = 0 and the certificate holds.  A
+      product is therefore always read, Phi_10 alone at n = 2 * D + 2;
+      a None means f is no product.
+
+    The scan below runs only on such an f, to find the residual.
     Candidate indices d are tried in increasing order and each Phi_d is
     divided out to its full multiplicity before moving on, so the output is
     deterministic.  Only d with euler_phi(d) <= deg, the degree of what
@@ -225,6 +345,9 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     # By Gauss's lemma each monic Phi_d dividing the primitive integer part
     # leaves an integer quotient.
     remaining = _int_primitive(body._ints)
+    read = _read_exponents(remaining)
+    if read is not None:
+        return CyclotomicFactorization(body.leading, qpower, read)
     x, value = 1, 0
     while not value:  # x = 2, or the next integer while x is a root
         x += 1

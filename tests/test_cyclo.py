@@ -2,11 +2,15 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfe.cyclo
 import qfe.poly
@@ -400,6 +404,40 @@ def test_screened_factorization_matches_unscreened_scan():
 
 
 def test_trial_divisions_only_for_true_factors(monkeypatch):
+    """A product of cyclotomics is read off its power series, with no trial
+    division and no screen; a stubborn input is rejected with no division."""
+    divisions = []
+    exact_div = qfe.cyclo._exact_int_div
+    screened = []
+    at = qfe.cyclo._cyclotomic_at
+
+    def counted(a, b):
+        divisions.append(b)
+        return exact_div(a, b)
+
+    def counted_at(x, d, primes):
+        screened.append(d)
+        return at(x, d, primes)
+
+    monkeypatch.setattr(qfe.cyclo, "_exact_int_div", counted)
+    monkeypatch.setattr(qfe.cyclo, "_cyclotomic_at", counted_at)
+    rng = random.Random(77)
+    for _ in range(100):
+        factors = {d: rng.randint(1, 3) for d in rng.sample(range(1, 40), rng.randint(0, 5))}
+        built = CyclotomicFactorization(Fraction(rng.choice([-2, 1, 3])), rng.randint(0, 2), factors)
+        divisions.clear()
+        screened.clear()
+        assert cyclo_factor(built.value()) == built
+        assert divisions == [] and screened == []
+    for stubborn in (Polynomial.monomial(64) - P(1, 1), LEHMER.compose_power(4)):
+        divisions.clear()
+        with pytest.raises(NonCyclotomicFactor):
+            cyclo_factor(stubborn)
+        assert divisions == []
+
+
+def outcome_and_divisions(p):
+    """factor_outcome(cyclo_factor, p) and the number of trial divisions it ran."""
     divisions = []
     exact_div = qfe.cyclo._exact_int_div
 
@@ -407,19 +445,71 @@ def test_trial_divisions_only_for_true_factors(monkeypatch):
         divisions.append(b)
         return exact_div(a, b)
 
-    monkeypatch.setattr(qfe.cyclo, "_exact_int_div", counted)
-    rng = random.Random(77)
-    for _ in range(100):
-        factors = {d: rng.randint(1, 3) for d in rng.sample(range(1, 40), rng.randint(0, 5))}
-        built = CyclotomicFactorization(Fraction(rng.choice([-2, 1, 3])), rng.randint(0, 2), factors)
-        divisions.clear()
-        assert cyclo_factor(built.value()) == built
-        assert len(divisions) == sum(factors.values())
-    for stubborn in (Polynomial.monomial(64) - P(1, 1), LEHMER.compose_power(4)):
-        divisions.clear()
-        with pytest.raises(NonCyclotomicFactor):
-            cyclo_factor(stubborn)
-        assert divisions == []
+    with mock.patch.object(qfe.cyclo, "_exact_int_div", counted):
+        return factor_outcome(cyclo_factor, p), len(divisions)
+
+
+units = st.sampled_from([Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-5)])
+qpowers = st.integers(0, 3)
+
+
+@given(units, qpowers, st.dictionaries(st.integers(1, 200), st.integers(1, 3), max_size=3))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_read_agrees_with_scan_on_cyclotomic_products(unit, qpower, factors):
+    p = CyclotomicFactorization(unit, qpower, factors).value()
+    expected = (unit, qpower, sorted(factors.items()))
+    assert outcome_and_divisions(p) == (expected, 0)
+    assert factor_outcome(cyclo_factor_by_scan, p) == expected
+
+
+@given(
+    units,
+    qpowers,
+    st.lists(st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 24)), min_size=1, max_size=3),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_read_completes_the_high_factor_of_dilated_quantum_integers(unit, qpower, terms):
+    """[p]_{q**r} = (1 - q**(r*p)) / (1 - q**r) has its top index r*p above
+    its degree r*(p - 1), so the read never sees it in the series."""
+    p = Polynomial([unit]).shift(qpower)
+    for prime, r in terms:
+        p = p * quantum_integer(prime, r)
+    outcome, divisions = outcome_and_divisions(p)
+    assert outcome == factor_outcome(cyclo_factor_by_scan, p)
+    assert outcome[0] == unit and divisions == 0
+
+
+@given(st.integers(1, 200))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_read_agrees_with_scan_on_sparse_binomials(degree):
+    p = Polynomial.monomial(degree) + ONE
+    outcome, divisions = outcome_and_divisions(p)
+    assert outcome == factor_outcome(cyclo_factor_by_scan, p)
+    assert divisions == 0
+
+
+@given(st.integers(1, 8), st.sampled_from([None, 1, 2, 3, 6, 10, 12, 30]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_palindromic_non_cyclotomic_falls_back_to_the_scan(k, d):
+    """LEHMER(q**k), times Phi_d or not, is palindromic with f(0) = 1 but no
+    product of cyclotomics: the read certifies nothing and the scan reports
+    the residual."""
+    p = LEHMER.compose_power(k) * (cyclotomic(d) if d else ONE)
+    assert qfe.cyclo._read_exponents(list(qfe.poly._int_primitive(p._ints))) is None
+    outcome = factor_outcome(cyclo_factor, p)
+    assert outcome == factor_outcome(cyclo_factor_by_scan, p)
+    assert outcome == ("residual", LEHMER.compose_power(k))
+
+
+def test_sparse_binomial_of_high_degree_is_read():
+    """1 + q**50000 = prod Phi_d over the d | 100000 that do not divide 50000;
+    the scan would walk every d with euler_phi(d) <= 50000."""
+    p = Polynomial.monomial(50000) + ONE
+    start = time.perf_counter()
+    fact = cyclo_factor(p)
+    assert time.perf_counter() - start < 2
+    assert fact.factors == {d: 1 for d in divisors(100000) if 50000 % d}
+    assert fact.value() == p
 
 
 @pytest.mark.parametrize(

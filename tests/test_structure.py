@@ -407,6 +407,19 @@ def test_decompose_success_runs_no_gcd_and_no_table_product(monkeypatch):
     assert not calls
 
 
+def test_decompose_reads_sparse_generators_of_high_degree():
+    """1 + q**25000 = [2]_{q**25000} and 1 + q**25000 + q**50000 =
+    [3]_{q**25000} are read off their power series; a scan of the d with
+    euler_phi(d) <= 50000 would take minutes."""
+    spec = SolutionSpec({
+        2: RationalFunction(Polynomial.monomial(25000) + Polynomial([1])),
+        3: RationalFunction(quantum_integer(3, 25000)),
+    })
+    start = time.perf_counter()
+    assert decompose(spec).exponents == {25000: 1}
+    assert time.perf_counter() - start < 10
+
+
 class TestCertification:
     def test_synthesized_terms_have_cyclotomic_parts(self):
         spec = spec_257()
