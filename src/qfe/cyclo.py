@@ -25,8 +25,8 @@ such product meets the scan over candidate Phi_d, which finds its residual.
     prod_{u in num} (q**u - 1) / prod_{v in den} (q**v - 1)
 
 with disjoint multisets of indices, or as one signed table {k: e} of
-exponents of q**k - 1.  It owns the gcd-free table algebra (dilation,
-expansion) that the structure classification runs on.
+exponents of q**k - 1.  It owns the gcd-free table algebra (net Phi_d
+exponents by ``_net``, expansion) that the structure classification runs on.
 """
 
 from __future__ import annotations
@@ -101,6 +101,16 @@ def _moebius_terms(d: int, m: int, primes: Iterable[int]) -> list[tuple[int, int
     for p in primes:
         terms += [(j // p, -a) for j, a in terms]
     return terms
+
+
+def _net(table: Mapping[int, int]) -> dict[int, int]:
+    """The net exponents {d: m_d}, zeros kept, of a signed table {j: a_j}:
+    prod (q**j - 1)**a_j == prod Phi_d**m_d with m_d = sum_{d | j} a_j."""
+    net: dict[int, int] = {}
+    for j, a in table.items():
+        for d in divisors(j):
+            net[d] = net.get(d, 0) + a
+    return net
 
 
 def _cyclotomic_product(exponents: Mapping[int, int]) -> Polynomial:
@@ -269,11 +279,7 @@ def _read_exponents(ints: list[int]) -> dict[int, int] | None:
         if rest >= n:
             read[rest] = 1
         if rest == 0 or rest >= n:
-            table = {step * j: a for j, a in read.items()}
-            net: dict[int, int] = {}
-            for j, a in table.items():
-                for d in divisors(j):
-                    net[d] = net.get(d, 0) + a
+            net = _net({step * j: a for j, a in read.items()})
             if min(net.values(), default=0) >= 0:
                 return {d: net[d] for d in sorted(net) if net[d]}
         if n > last:
@@ -317,14 +323,13 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
       product is therefore always read, Phi_10 alone at n = 2 * D + 2;
       a None means f is no product.
 
-    The scan below runs only on such an f, to find the residual.
-    Candidate indices d are tried in increasing order and each Phi_d is
-    divided out to its full multiplicity before moving on, so the output is
-    deterministic.  Only d with euler_phi(d) <= deg, the degree of what
-    remains, can divide; ``_candidates`` enumerates exactly those d for the
-    starting degree, with their totients and primes, and no other integer
-    is looked at.  Every such d has d <= deg * bitlen(2 * deg**2), which
-    stops the walk early once the degree has dropped.  Proof:
+    The scan below runs only on such an f, to find the residual.  Each
+    Phi_d is divided out to its full multiplicity before moving on.  Only
+    d with euler_phi(d) <= deg, the degree of what remains, can divide;
+    ``_candidates`` enumerates exactly those d for the starting degree,
+    with their totients and primes, and no other integer is looked at.
+    Each also has d <= deg * bitlen(2 * deg**2), so the walk, in increasing
+    d, stops at the first d past that bound for what remains.  Proof:
     euler_phi(d) >= sqrt(d/2) gives d <= 2 * deg**2.  The distinct primes
     p_1 < ... < p_w of d have p_i >= i + 1, so
     euler_phi(d)/d = prod (1 - 1/p_i) >= 1/(w + 1), and 2**w <= d gives
@@ -341,22 +346,20 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     qpower = p.valuation()
-    body = p.shift(-qpower) if qpower else p
     # By Gauss's lemma each monic Phi_d dividing the primitive integer part
     # leaves an integer quotient.
-    remaining = _int_primitive(body._ints)
+    remaining = _int_primitive(p._ints[qpower:])
     read = _read_exponents(remaining)
     if read is not None:
-        return CyclotomicFactorization(body.leading, qpower, read)
+        return CyclotomicFactorization(p.leading, qpower, read)
     x, value = 1, 0
     while not value:  # x = 2, or the next integer while x is a root
         x += 1
         for c in reversed(remaining):
             value = value * x + c
-    factors: dict[int, int] = {}
     for d, phi, primes in _candidates(len(remaining) - 1):
         deg = len(remaining) - 1
-        if deg == 0 or d > deg * (2 * deg * deg).bit_length():
+        if d > deg * (2 * deg * deg).bit_length():
             break
         if phi > deg:
             continue
@@ -365,12 +368,9 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
             continue
         phi_d = cyclotomic(d)._ints
         while value % at_x == 0 and _cyclotomic_divides(phi_d, remaining, d):
-            factors[d] = factors.get(d, 0) + 1
             remaining = _exact_int_div(remaining, phi_d)
             value //= at_x
-    if len(remaining) > 1:
-        raise NonCyclotomicFactor(Polynomial(remaining).monic())
-    return CyclotomicFactorization(body.leading, qpower, factors)
+    raise NonCyclotomicFactor(Polynomial(remaining).monic())
 
 
 class MultisetQuotient(_Value):
@@ -423,10 +423,7 @@ class MultisetQuotient(_Value):
         the numerator's minus this one.
         """
         table = self.exponents()
-        net: Counter[int] = Counter()
-        for k, e in table.items():
-            net.update(dict.fromkeys(divisors(k), e))
-        num = _moebius_table(+net)
+        num = _moebius_table({d: m for d, m in _net(table).items() if m > 0})
         den = num.copy()
         den.subtract(table)
         return RationalFunction._reduced(_expand(num), _expand(den))

@@ -501,6 +501,34 @@ def test_palindromic_non_cyclotomic_falls_back_to_the_scan(k, d):
     assert outcome == ("residual", LEHMER.compose_power(k))
 
 
+def test_read_stops_on_a_power_sum_at_a_zero_coefficient():
+    """This palindrome has f(0) = 1, yet the power sums of its would-be
+    roots of unity pass the degree at a zero coefficient of the series,
+    which ends the read there; the scan then finds no Phi_d in it."""
+    p = P(1, 2, 1, -1, 0, 1, 0, -1, 1, 2, 1)
+    assert qfe.cyclo._inverse_euler(list(p._ints), 11, 10) is None
+    assert qfe.cyclo._read_exponents(list(p._ints)) is None
+    outcome = factor_outcome(cyclo_factor, p)
+    assert outcome == factor_outcome(cyclo_factor_by_scan, p)
+    assert outcome == ("residual", p)
+
+
+signed_tables = st.dictionaries(st.integers(1, 200), st.integers(-3, 3), max_size=6)
+
+
+@given(signed_tables, signed_tables)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_net_and_moebius_table_are_inverse(table, exponents):
+    """_net takes a signed table of q**j - 1 exponents to the net Phi_d
+    exponents, and _moebius_table takes them back, up to zero entries."""
+
+    def nonzero(t):
+        return {k: v for k, v in t.items() if v}
+
+    assert nonzero(qfe.cyclo._moebius_table(qfe.cyclo._net(table))) == nonzero(table)
+    assert nonzero(qfe.cyclo._net(qfe.cyclo._moebius_table(exponents))) == nonzero(exponents)
+
+
 def test_sparse_binomial_of_high_degree_is_read():
     """1 + q**50000 = prod Phi_d over the d | 100000 that do not divide 50000;
     the scan would walk every d with euler_phi(d) <= 50000."""
