@@ -255,6 +255,12 @@ def _inverse_euler(series: list[int], n: int, top: int) -> dict[int, int] | None
     return table
 
 
+def _step(ints: Sequence[int]) -> int:
+    """The largest step with ints == F(q**step) for a polynomial F: the gcd
+    of the exponents of the nonzero terms."""
+    return reduce(gcd, compress(range(len(ints)), ints), 0) or 1
+
+
 def _read_exponents(ints: list[int]) -> dict[int, int] | None:
     """The exponents {d: m}, ascending in d, with ints == +-prod Phi_d**m,
     read off the power series; None exactly when ints is no product of
@@ -266,7 +272,7 @@ def _read_exponents(ints: list[int]) -> dict[int, int] | None:
         return None
     # ints is F(q**step): the series of F is read, and its table dilated by
     # step is the table of ints.
-    step = reduce(gcd, compress(range(len(ints)), ints), 0) or 1
+    step = _step(ints)
     series = ints[::step] if ints[0] == 1 else [-v for v in ints[::step]]
     top = len(series) - 1
     last = top * (2 * top * top).bit_length()
@@ -323,9 +329,10 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
       product is therefore always read, Phi_10 alone at n = 2 * D + 2;
       a None means f is no product.
 
-    The scan below runs only on such an f, to find the residual.  Each
-    Phi_d is divided out to its full multiplicity before moving on.  Only
-    d with euler_phi(d) <= deg, the degree of what remains, can divide;
+    Only on such an f does ``_residual`` run.  It scans F, not f, for the
+    residual (see there), and below f stands for what it scans.  Each Phi_d
+    is divided out to its full multiplicity before moving on.  Only d with
+    euler_phi(d) <= deg, the degree of what remains, can divide;
     ``_candidates`` enumerates exactly those d for the starting degree,
     with their totients and primes, and no other integer is looked at.
     Each also has d <= deg * bitlen(2 * deg**2), so the walk, in increasing
@@ -343,15 +350,38 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     ``_cyclotomic_divides`` decides exactly whether Phi_d divides f, on f
     mod q**d - 1, so every division that runs finds a factor.
     """
+    fact = _read_factor(p)
+    if fact is None:
+        raise NonCyclotomicFactor(_residual(p))
+    return fact
+
+
+def _read_factor(p: Polynomial) -> CyclotomicFactorization | None:
+    """``cyclo_factor`` by the read alone: None, with no residual scan, when p
+    is no product of cyclotomics."""
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     qpower = p.valuation()
     # By Gauss's lemma each monic Phi_d dividing the primitive integer part
     # leaves an integer quotient.
-    remaining = _int_primitive(p._ints[qpower:])
-    read = _read_exponents(remaining)
-    if read is not None:
-        return CyclotomicFactorization(p.leading, qpower, read)
+    read = _read_exponents(_int_primitive(p._ints[qpower:]))
+    return None if read is None else CyclotomicFactorization(p.leading, qpower, read)
+
+
+def _residual(p: Polynomial) -> Polynomial:
+    """The monic residual of a nonzero p that is no product of cyclotomics:
+    what is left of its primitive integer body once every Phi_d is divided
+    out.
+
+    The scan runs on F, where the body is F(q**step).  If F = C * R, with C a
+    product of cyclotomics and R free of them, then the body is C(q**step) *
+    R(q**step), where C(q**step) is a product of cyclotomics and R(q**step)
+    has none: a root of unity z with R(z**step) = 0 would make z**step a
+    root of R.  So the residual of the body is R(q**step).
+    """
+    body = _int_primitive(p._ints[p.valuation():])
+    step = _step(body)
+    remaining = body[::step]
     x, value = 1, 0
     while not value:  # x = 2, or the next integer while x is a root
         x += 1
@@ -370,7 +400,7 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
         while value % at_x == 0 and _cyclotomic_divides(phi_d, remaining, d):
             remaining = _exact_int_div(remaining, phi_d)
             value //= at_x
-    raise NonCyclotomicFactor(Polynomial(remaining).monic())
+    return Polynomial(remaining).monic().compose_power(step)
 
 
 class MultisetQuotient(_Value):
@@ -436,11 +466,19 @@ def as_multiset_quotient(num: Polynomial, den: Polynomial) -> MultisetQuotient:
     A failure certifies that num/den has a zero or pole that is neither 0
     nor a root of unity: it lies outside the family ``decompose`` classifies.
     """
+    return _quotient(num, den, residual=True)
+
+
+def _quotient(num: Polynomial, den: Polynomial, residual: bool) -> MultisetQuotient | None:
+    """``as_multiset_quotient``; or, when residual is false, None as soon as
+    the read refuses a part, with no residual scan."""
     table: Counter[int] = Counter()
     for part, sign in ((num, 1), (den, -1)):
         if part == ONE:
             continue
-        fact = cyclo_factor(part)
+        fact = cyclo_factor(part) if residual else _read_factor(part)
+        if fact is None:
+            return None
         if fact.qpower or fact.unit != 1:
             raise ValueError(
                 "expected a monic polynomial with nonzero constant term, "

@@ -8,7 +8,12 @@ identity
     h_p1(q) * h_p2(q**p1) == h_p2(q) * h_p1(q**p2),
 
 so ``SolutionSpec`` carries the generators, and ``synthesize`` builds any
-f_n from them after checking that identity once.
+f_n from them.  Over at least two primes it first classifies the spec once,
+by the stages of ``structure.decompose`` with no residual scan.  By the
+classification theorem, generators with the closed form are a solution, so
+then f_n = closed_form(sd, n), with no gcd.  Otherwise, and over a single
+prime, it checks that identity once and builds f_n by products of dilated
+generators.
 
 That identity and the law checked by ``verify_functional_equation`` are each
 an equality of two products of rational functions, which ``_products_equal``
@@ -18,9 +23,9 @@ evaluates both sides at q = 2**W, with 2**(W - 1) above the bound
 B = D_r * prod ||ints_l||_1 + D_l * prod ||ints_r||_1 on the coefficients of
 their difference, so that the two values are equal exactly when the sides are.
 
-Synthesized terms are memoized per spec; the cache only ever stores the
-value a recomputation would produce, so concurrent use behaves as if calls
-were serialized.
+Synthesized terms and the classification are memoized per spec; the cache
+only ever stores the value a recomputation would produce, so concurrent use
+behaves as if calls were serialized.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ class SolutionSpec:
     Fraction values; each must be nonzero and keyed by a prime.
     """
 
-    __slots__ = ("_generators", "primes", "_terms", "_violations")
+    __slots__ = ("_generators", "primes", "_terms", "_violations", "_structure")
 
     def __init__(self, generators: Mapping[int, object]):
         items: dict[int, RationalFunction] = {}
@@ -87,6 +92,8 @@ class SolutionSpec:
         self.primes: tuple[int, ...] = tuple(self._generators)
         self._terms: dict[int, RationalFunction] = {1: RationalFunction.one()}
         self._violations: tuple[tuple[int, int], ...] | None = None
+        # synthesize's StructureData: None until tried, False when it fails.
+        self._structure = None
 
     @property
     def generators(self) -> Mapping[int, RationalFunction]:
@@ -176,32 +183,52 @@ def _reject_violations(bad: Iterable[tuple[int, int]]) -> None:
 def synthesize(spec: SolutionSpec, n: int) -> RationalFunction:
     """The term f_n of the solution determined by the generators.
 
-    Returns 0 outside the support and 1 at n = 1.  Otherwise, with p the
-    largest prime factor of n, the multiplication law at (n/p, p) gives
-    f(n) = f(n/p) * h_p(q**(n/p)), applied down to the nearest memoized term.
+    Returns 0 outside the support and 1 at n = 1.  Over at least two primes
+    the spec is classified once, by ``decompose``'s stages with no residual
+    scan.  When that succeeds, the classification theorem makes the spec a
+    solution and f_n = closed_form(sd, n), with f_p = h_p at a prime.
+    Otherwise, and over a single prime, the generators must pass the
+    compatibility check, and with p the largest prime factor of n, the
+    multiplication law at (n/p, p) gives f(n) = f(n/p) * h_p(q**(n/p)),
+    applied down to the nearest memoized term.
 
     Raises NotASolution if the generators fail the compatibility check.
     """
     _index(n, 1, "synthesize requires n >= 1, got {!r}")
-    _require_commutative(spec)
+    if spec._structure is None:
+        from .structure import _classified
+
+        spec._structure = _classified(spec) or False
+        if spec._structure:
+            spec._violations = ()
+    if not spec._structure:
+        _require_commutative(spec)
     return _term(spec, n)
 
 
 def _term(spec: SolutionSpec, n: int) -> RationalFunction:
-    """f_n by the fold of ``synthesize``: walk n -> n/p down to the nearest
-    memoized term, then multiply back up, memoizing f_n alone.  A loop, not
-    recursion, so n may have any number of prime factors."""
+    """f_n as ``synthesize`` builds it, memoizing f_n alone.  Off the
+    classification, the fold walks n -> n/p down to the nearest memoized
+    term, then multiplies back up; a loop, not recursion, so n may have any
+    number of prime factors."""
     terms = spec._terms
-    if n not in terms and not in_support(spec.primes, n):
+    if n in terms:
+        return terms[n]
+    if not in_support(spec.primes, n):
         return RationalFunction.zero()
-    steps, m = [], n
-    while m not in terms:
-        p = max(p for p in spec.primes if m % p == 0)
-        steps.append((m, p))
-        m //= p
-    value = terms[m]
-    for m, p in reversed(steps):
-        value = value * spec._generators[p].compose_power(m // p)
+    if spec._structure:
+        from .structure import closed_form
+
+        value = spec._generators[n] if n in spec._generators else closed_form(spec._structure, n)
+    else:
+        steps, m = [], n
+        while m not in terms:
+            p = max(p for p in spec.primes if m % p == 0)
+            steps.append((m, p))
+            m //= p
+        value = terms[m]
+        for m, p in reversed(steps):
+            value = value * spec._generators[p].compose_power(m // p)
     terms[n] = value
     return value
 

@@ -23,8 +23,8 @@ from itertools import combinations
 
 from ._value import _Value
 from .arith import _index, is_prime
-from .cyclo import MultisetQuotient, NonCyclotomicFactor, as_multiset_quotient
-from .poly import _exact
+from .cyclo import MultisetQuotient, NonCyclotomicFactor, _expand, _quotient
+from .poly import ONE, _exact
 from .ratfunc import RationalFunction, StandardForm, _assemble
 from .solutions import NotASolution, SolutionSpec, _reject_violations, in_support
 
@@ -90,14 +90,23 @@ def closed_form(sd: StructureData, n: int) -> RationalFunction:
     """Evaluate the classified solution at n: zero outside the support,
     otherwise scale(n) * q**(shift*(n-1)) * prod [n]_{q**r}**t exactly.
     The product is the q**k - 1 exponent table ``_quantum_table(exponents, n)``.
+    When every t has one sign it is a polynomial or the inverse of one, and
+    the table expands as it is; only mixed signs split it into coprime parts.
     """
     _index(n, 1, "closed_form requires n >= 1, got {!r}")
     if not in_support(sd.primes, n):
         return RationalFunction.zero()
-    product = MultisetQuotient.from_exponents(_quantum_table(sd.exponents, n)).value()
+    table = _quantum_table(sd.exponents, n)
+    if all(t > 0 for t in sd.exponents.values()):
+        num, den = _expand(table), ONE
+    elif all(t < 0 for t in sd.exponents.values()):
+        num, den = ONE, _expand({k: -v for k, v in table.items()})
+    else:
+        product = MultisetQuotient.from_exponents(table).value()
+        num, den = product.num, product.den
     e = sd.shift * (n - 1)
     assert e.denominator == 1  # guaranteed by validate_shift
-    return _assemble(scale_at(sd, n), int(e), product.num, product.den)
+    return _assemble(scale_at(sd, n), int(e), num, den)
 
 
 def degree_signature(sd: StructureData, n: int) -> int:
@@ -133,6 +142,24 @@ def decompose(spec: SolutionSpec) -> StructureData:
         raise TooFewPrimes(
             f"decomposition needs at least two primes, got {list(spec.primes)}"
         )
+    return _classify(spec, residual=True)
+
+
+def _classified(spec: SolutionSpec) -> StructureData | None:
+    """The StructureData of spec when its generators have the closed form,
+    else None: ``decompose`` with no residual scan, for ``synthesize``."""
+    if len(spec.primes) < 2:
+        return None
+    try:
+        return _classify(spec, residual=False)
+    except NotASolution:
+        return None
+
+
+def _classify(spec: SolutionSpec, residual: bool) -> StructureData | None:
+    """Stages 2-4 of ``decompose`` over at least two primes.  With residual
+    true every failure raises.  With residual false, a generator that the
+    read refuses gives None at once, and no residual scan runs."""
     forms: dict[int, StandardForm] = {
         p: spec.generator(p).standard_form() for p in spec.primes
     }
@@ -140,13 +167,16 @@ def decompose(spec: SolutionSpec) -> StructureData:
     quotients: dict[int, MultisetQuotient] = {}
     for p, form in forms.items():
         try:
-            quotients[p] = as_multiset_quotient(form.num, form.den)
+            mq = _quotient(form.num, form.den, residual)
         except NonCyclotomicFactor as exc:
             raise NotASolution(
                 "non-cyclotomic",
                 f"generator for prime {p} has a zero or pole that is neither 0 "
                 f"nor a root of unity (residual factor {exc.residual})",
             ) from exc
+        if mq is None:
+            return None
+        quotients[p] = mq
     try:
         exponents = _peel(quotients)
     except NotASolution:

@@ -501,6 +501,25 @@ def test_palindromic_non_cyclotomic_falls_back_to_the_scan(k, d):
     assert outcome == ("residual", LEHMER.compose_power(k))
 
 
+@given(
+    st.one_of(st.just(LEHMER), st.integers(3, 9).map(lambda n: Polynomial.monomial(n) - P(1, 1))),
+    st.integers(1, 5),
+    st.sampled_from([None, 1, 2, 3, 4, 6, 10]),
+    st.booleans(),
+    st.sampled_from([1, -1, 3]),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_residual_of_a_dilation_is_the_dilated_residual(base, k, d, dilate_cofactor, unit):
+    """base(q**k) times Phi_d, itself dilated by k or not: the scan runs on
+    the undilated F, and its residual, dilated back, is the scan's residual
+    of the whole polynomial."""
+    cofactor = cyclotomic(d) if d else ONE
+    p = (base.compose_power(k) * cofactor.compose_power(k if dilate_cofactor else 1)).scaled(unit)
+    outcome = factor_outcome(cyclo_factor, p)
+    assert outcome == factor_outcome(cyclo_factor_by_scan, p)
+    assert outcome[0] == "residual"
+
+
 def test_read_stops_on_a_power_sum_at_a_zero_coefficient():
     """This palindrome has f(0) = 1, yet the power sums of its would-be
     roots of unity pass the degree at a zero coefficient of the series,

@@ -1,13 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qfe.cyclo
 from qfe.poly import ONE, Polynomial, quantum_integer
 from qfe.ratfunc import RationalFunction
 from qfe.solutions import (
@@ -36,6 +41,8 @@ from helpers import (
     term_by_fold,
     violations_by_field_products,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def P(*coeffs):
@@ -469,3 +476,112 @@ def test_synthesize_through_a_thousand_prime_factors():
     assert synthesize(spec, 2**1199 * 3) == 3**1199
     assert synthesize(spec, 5 * 2**1200).is_zero
     assert verify_functional_equation(spec, 2**600, 3 * 2**700)
+
+
+@st.composite
+def closed_form_specs(draw):
+    """Closed forms with Fraction scales and shifts, and their combine and
+    invert results: solutions over two or three primes."""
+    rng = draw(st.randoms(use_true_random=False))
+    sd = random_structure_data(rng)
+    spec = SolutionSpec({p: closed_form(sd, p) for p in sd.primes})
+    kind = draw(st.sampled_from(["closed", "combine", "invert"]))
+    if kind == "combine":
+        other = StructureData(
+            sd.primes,
+            {p: random_nonzero_fraction(rng) for p in sd.primes},
+            0,
+            {r: rng.choice([-2, -1, 1, 2]) for r in rng.sample([1, 2, 3], rng.randint(0, 2))},
+        )
+        spec = combine(
+            spec,
+            SolutionSpec({p: closed_form(other, p) for p in sd.primes}),
+            dilate_f=draw(st.integers(1, 2)),
+            dilate_g=draw(st.integers(1, 2)),
+            power_f=draw(st.sampled_from([-1, 1])),
+            power_g=draw(st.sampled_from([-1, 1])),
+        )
+    elif kind == "invert":
+        spec = invert(spec)
+    return spec
+
+
+@given(closed_form_specs(), st.lists(st.integers(1, 60), min_size=1, max_size=3), st.integers(2, 5))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_classified_synthesis_agrees_with_the_fold(spec, members, power):
+    # Closed-form specs are synthesized through their classification; the
+    # fold multiplies generators with gcds, so it shares no step with it.
+    p = spec.primes[0]
+    for n in [*members, p**power]:
+        assert synthesize(spec, n) == term_by_fold(spec, n), n
+    assert spec._structure and commutativity_violations(spec) == ()
+    assert violations_by_field_products(spec) == ()
+
+
+def test_classified_synthesis_runs_no_gcd(monkeypatch):
+    specs = [spec_257(), quantum_integer_spec([2, 3]), invert(spec_257())]
+    calls = count_gcd_calls(monkeypatch)
+    for spec in specs:
+        terms = [synthesize(spec, n) for n in range(1, 61)]
+        assert verify_functional_equation(spec, 2, 5)
+        assert sum(not f.is_zero for f in terms) > len(spec.primes) + 1
+    assert not calls
+
+
+def test_unclassified_solution_falls_back_without_the_residual_scan(monkeypatch):
+    # h_p = g(q**p) / g(q) with g = 2 + q**10000 is a solution whose
+    # generators have zeros off the roots of unity, outside the classified
+    # family: the route refuses it on the read and never scans for a residual.
+    g = Polynomial.monomial(10000) + 2
+    spec = SolutionSpec({p: RationalFunction(g.compose_power(p), g) for p in (2, 3)})
+    visits = []
+    at = qfe.cyclo._cyclotomic_at
+    monkeypatch.setattr(qfe.cyclo, "_cyclotomic_at", lambda *a: visits.append(a) or at(*a))
+    assert synthesize(spec, 6) == RationalFunction(g.compose_power(6), g)
+    assert not visits and spec._structure is False
+
+
+def test_unclassified_solution_synthesizes_fast_in_a_cold_process():
+    code = (
+        "import time\n"
+        "from qfe import Polynomial, RationalFunction, SolutionSpec, synthesize\n"
+        "g = Polynomial.monomial(10000) + 2\n"
+        "spec = SolutionSpec({p: RationalFunction(g.compose_power(p), g) for p in (2, 3)})\n"
+        "start = time.perf_counter()\n"
+        "synthesize(spec, 6)\n"
+        "print(time.perf_counter() - start)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert float(done.stdout) < 1.0
+
+
+@pytest.mark.parametrize(
+    "generators, pairs",
+    [
+        ({2: P(1, 1), 3: P(1, 1)}, "(2, 3)"),  # cyclotomic, no common read
+        ({2: P(0, 1, 1), 3: P(1, 1, 1)}, "(2, 3)"),  # shift rates 1 and 0
+        ({2: P(1, 1), 3: P(1, 1, 1), 5: P(1, 1)}, "(2, 5), (3, 5)"),
+        ({2: P(1, 1), 3: P(1, 1, 0, 1)}, "(2, 3)"),  # a generator the read refuses
+    ],
+)
+def test_unclassified_spec_reports_the_pair_scan(generators, pairs):
+    spec = SolutionSpec(generators)
+    with pytest.raises(NotASolution) as info:
+        synthesize(spec, 6)
+    assert info.value.reason == "commutativity"
+    assert str(info.value) == f"generator pairs {pairs} violate the compatibility identity"
+    assert commutativity_violations(spec) == violations_by_field_products(spec)
+
+
+def test_non_cyclotomic_solution_synthesizes_through_the_fold():
+    # h_p = (q**p - 2)/(q - 2) satisfies the identity but has a zero at 2**(1/p).
+    g = P(-2, 1)
+    spec = SolutionSpec({p: RationalFunction(g.compose_power(p), g) for p in (2, 3, 5)})
+    for n in (1, 4, 6, 7, 30, 45):
+        expected = RationalFunction(g.compose_power(n), g) if n != 7 else RationalFunction.zero()
+        assert synthesize(spec, n) == expected == term_by_fold(spec, n)
+    assert spec._structure is False and commutativity_violations(spec) == ()

@@ -42,6 +42,7 @@ from helpers import (
     random_nonzero_fraction,
     random_structure_data,
     spec_257,
+    violations_by_field_products,
 )
 
 
@@ -555,10 +556,14 @@ def test_decompose_succeeds_exactly_on_solutions(spec):
     # they have the closed form.  A perturbed generator drawn here may have
     # other zeros; the test relies on such specs also failing the identity,
     # which is not automatic (test_non_cyclotomic_solution_is_outside_decompose).
+    # violations_by_field_products shares no code with decompose or with the
+    # pair scan, so the verdict is also checked against an independent oracle.
     try:
         sd = decompose(spec)
     except NotASolution:
         assert not is_commutative(spec)
+        assert violations_by_field_products(spec)
     else:
         assert is_commutative(spec)
+        assert not violations_by_field_products(spec)
         assert all(closed_form(sd, p) == spec.generator(p) for p in spec.primes)
