@@ -25,8 +25,11 @@ such product meets the scan over candidate Phi_d, which finds its residual.
     prod_{u in num} (q**u - 1) / prod_{v in den} (q**v - 1)
 
 with disjoint multisets of indices, or as one signed table {k: e} of
-exponents of q**k - 1.  It owns the gcd-free table algebra (net Phi_d
-exponents by ``_net``, expansion) that the structure classification runs on.
+exponents of q**k - 1.  The read yields such a table, and the structure
+classification peels the sum of a generator's two tables (``_quotient``)
+with no detour through Phi_d.  Net Phi_d exponents (``_net``) appear only in
+the read's certificate, in the coprime split that expands a mixed-sign
+table (``_split``), and in what ``cyclo_factor`` returns.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from operator import sub
 
 from ._value import _Value
 from .arith import _index, divisors, factorize
-from .poly import ONE, Polynomial, _int_divmod, _int_primitive, _make
+from .poly import ONE, Polynomial, _exact, _int_divmod, _int_primitive, _make
 from .ratfunc import RationalFunction
 
 __all__ = [
@@ -76,6 +79,16 @@ class CyclotomicFactorization(_Value):
     unit: Fraction
     qpower: int
     factors: dict[int, int]
+
+    def __init__(self, unit: Fraction, qpower: int, factors: Mapping[int, int]):
+        if not _exact(unit):
+            raise ValueError("unit must be nonzero")
+        _index(qpower, 0, "qpower must be an integer >= 0, got {!r}")
+        message = "factors requires positive indices and multiplicities, got {!r}"
+        for d, m in factors.items():
+            _index(d, 1, message)
+            _index(m, 1, message)
+        super().__init__(Fraction(unit), qpower, dict(factors))
 
     def value(self) -> Polynomial:
         """Multiply the factorization back out."""
@@ -262,7 +275,7 @@ def _step(ints: Sequence[int]) -> int:
 
 
 def _read_exponents(ints: list[int]) -> dict[int, int] | None:
-    """The exponents {d: m}, ascending in d, with ints == +-prod Phi_d**m,
+    """The signed table {k: a}, no a zero, with ints == +-prod (q**k - 1)**a,
     read off the power series; None exactly when ints is no product of
     cyclotomics.  See ``cyclo_factor`` for the read and its certificate."""
     if ints[0] not in (1, -1):
@@ -285,9 +298,9 @@ def _read_exponents(ints: list[int]) -> dict[int, int] | None:
         if rest >= n:
             read[rest] = 1
         if rest == 0 or rest >= n:
-            net = _net({step * j: a for j, a in read.items()})
-            if min(net.values(), default=0) >= 0:
-                return {d: net[d] for d in sorted(net) if net[d]}
+            table = {step * j: a for j, a in read.items()}
+            if min(_net(table).values(), default=0) >= 0:
+                return table
         if n > last:
             return None
         n = min(2 * n, last + 1)
@@ -304,7 +317,9 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     f = prod (1 - q**j)**a_j, and the a_j come off in turn mod q**n, from
     n = D + 1, one stride pass of ``_expand`` per unit of |a_j|.  When
     f = F(q**step), step the gcd of the exponents of f, F is read instead,
-    and its table dilated by step is the table of f.
+    and its table dilated by step is the table of f.  The read yields that
+    signed table {j: a_j}, the one ``decompose`` peels; only here is it
+    turned into the ascending nonzero net exponents m_d of the result.
 
     - Budget.  Phi_d = +-prod (1 - q**(d/s))**moebius(s) over the
       squarefree s | d has 2**w terms, w the number of primes of d, and
@@ -350,28 +365,28 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     ``_cyclotomic_divides`` decides exactly whether Phi_d divides f, on f
     mod q**d - 1, so every division that runs finds a factor.
     """
-    fact = _read_factor(p)
-    if fact is None:
-        raise NonCyclotomicFactor(_residual(p))
-    return fact
+    net = sorted(_net(_read_table(p, residual=True)).items())
+    return CyclotomicFactorization(p.leading, p.valuation(), {d: m for d, m in net if m})
 
 
-def _read_factor(p: Polynomial) -> CyclotomicFactorization | None:
-    """``cyclo_factor`` by the read alone: None, with no residual scan, when p
-    is no product of cyclotomics."""
+def _read_table(p: Polynomial, residual: bool) -> dict[int, int] | None:
+    """``_read_exponents`` of the primitive integer body of a nonzero p.  When
+    p is no product of cyclotomics: with residual true NonCyclotomicFactor,
+    carrying the residual, and with residual false None, with no scan."""
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    qpower = p.valuation()
     # By Gauss's lemma each monic Phi_d dividing the primitive integer part
     # leaves an integer quotient.
-    read = _read_exponents(_int_primitive(p._ints[qpower:]))
-    return None if read is None else CyclotomicFactorization(p.leading, qpower, read)
+    body = _int_primitive(p._ints[p.valuation():])
+    table = _read_exponents(body)
+    if table is None and residual:
+        raise NonCyclotomicFactor(_residual(body))
+    return table
 
 
-def _residual(p: Polynomial) -> Polynomial:
-    """The monic residual of a nonzero p that is no product of cyclotomics:
-    what is left of its primitive integer body once every Phi_d is divided
-    out.
+def _residual(body: list[int]) -> Polynomial:
+    """The monic residual of a primitive integer body that is no product of
+    cyclotomics: what is left of it once every Phi_d is divided out.
 
     The scan runs on F, where the body is F(q**step).  If F = C * R, with C a
     product of cyclotomics and R free of them, then the body is C(q**step) *
@@ -379,7 +394,6 @@ def _residual(p: Polynomial) -> Polynomial:
     has none: a root of unity z with R(z**step) = 0 would make z**step a
     root of R.  So the residual of the body is R(q**step).
     """
-    body = _int_primitive(p._ints[p.valuation():])
     step = _step(body)
     remaining = body[::step]
     x, value = 1, 0
@@ -446,17 +460,19 @@ class MultisetQuotient(_Value):
         return MultisetQuotient.from_exponents({d * k: e for k, e in self.exponents().items()})
 
     def value(self) -> RationalFunction:
-        """Expand the quotient exactly.
+        """Expand the quotient exactly (``_split``)."""
+        return RationalFunction._reduced(*_split(self.exponents()))
 
-        The net cyclotomic exponents split the quotient into coprime parts:
-        the numerator is their positive part, and the denominator's table is
-        the numerator's minus this one.
-        """
-        table = self.exponents()
-        num = _moebius_table({d: m for d, m in _net(table).items() if m > 0})
-        den = num.copy()
-        den.subtract(table)
-        return RationalFunction._reduced(_expand(num), _expand(den))
+
+def _split(table: Mapping[int, int]) -> tuple[Polynomial, Polynomial]:
+    """The coprime numerator and denominator of prod (q**k - 1)**e over a
+    signed table.  The net cyclotomic exponents split it: the numerator is
+    their positive part, and the denominator's table is the numerator's
+    minus this one."""
+    num = _moebius_table({d: m for d, m in _net(table).items() if m > 0})
+    den = num.copy()
+    den.subtract(table)
+    return _expand(num), _expand(den)
 
 
 def as_multiset_quotient(num: Polynomial, den: Polynomial) -> MultisetQuotient:
@@ -471,18 +487,19 @@ def as_multiset_quotient(num: Polynomial, den: Polynomial) -> MultisetQuotient:
 
 def _quotient(num: Polynomial, den: Polynomial, residual: bool) -> MultisetQuotient | None:
     """``as_multiset_quotient``; or, when residual is false, None as soon as
-    the read refuses a part, with no residual scan."""
+    the read refuses a part, with no residual scan.  The read's tables of the
+    two parts are summed as they are: no net Phi_d exponent is formed."""
     table: Counter[int] = Counter()
     for part, sign in ((num, 1), (den, -1)):
         if part == ONE:
             continue
-        fact = cyclo_factor(part) if residual else _read_factor(part)
-        if fact is None:
+        read = _read_table(part, residual)
+        if read is None:
             return None
-        if fact.qpower or fact.unit != 1:
+        if part.valuation() or part.leading != 1:
             raise ValueError(
                 "expected a monic polynomial with nonzero constant term, "
                 f"got {part}"
             )
-        table.update(_moebius_table({k: sign * m for k, m in fact.factors.items()}))
+        table.update({k: sign * a for k, a in read.items()})
     return MultisetQuotient.from_exponents(table)

@@ -11,7 +11,9 @@ runs over a finite exponent table.  ``StructureData`` holds that data.
 As [n]_{q**r} = (q**(r*n) - 1) / (q**r - 1), the rest is gcd-free algebra on
 signed tables of q**k - 1 exponents (``MultisetQuotient``): ``closed_form``
 expands the table ``_quantum_table`` builds, and ``decompose`` divides it
-back out at every prime (``_read``).
+back out at every prime (``_read``).  The table ``decompose`` peels is the
+one ``cyclo``'s power-series read yields for each generator, summed over its
+numerator and denominator; no net Phi_d exponent is formed on the way.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import combinations
 
 from ._value import _Value
 from .arith import _index, is_prime
-from .cyclo import MultisetQuotient, NonCyclotomicFactor, _expand, _quotient
+from .cyclo import MultisetQuotient, NonCyclotomicFactor, _expand, _quotient, _split
 from .poly import ONE, _exact
 from .ratfunc import RationalFunction, StandardForm, _assemble
 from .solutions import NotASolution, SolutionSpec, _reject_violations, in_support
@@ -102,8 +104,7 @@ def closed_form(sd: StructureData, n: int) -> RationalFunction:
     elif all(t < 0 for t in sd.exponents.values()):
         num, den = ONE, _expand({k: -v for k, v in table.items()})
     else:
-        product = MultisetQuotient.from_exponents(table).value()
-        num, den = product.num, product.den
+        num, den = _split(table)
     e = sd.shift * (n - 1)
     assert e.denominator == 1  # guaranteed by validate_shift
     return _assemble(scale_at(sd, n), int(e), num, den)

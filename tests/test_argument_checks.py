@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from qfe.arith import factorize, is_prime, moebius
-from qfe.cyclo import MultisetQuotient, cyclotomic
+from qfe.cyclo import CyclotomicFactorization, MultisetQuotient, cyclotomic
 from qfe.poly import ONE, Polynomial
 from qfe.ratfunc import RationalFunction, StandardForm
 from qfe.solutions import (
@@ -61,6 +61,21 @@ def structure() -> StructureData:
         (lambda: StructureData((2, 3), ONES, Fraction(0), {1: 0.5}),
          "exponent for r=1 must be a nonzero integer"),
         (lambda: MultisetQuotient({2.0: 1}), "num requires positive indices"),
+        # A factorization's Phi_d exponents are positive, so value() drops none.
+        (lambda: CyclotomicFactorization(Fraction(1), 0, {2: -1}),
+         "factors requires positive indices and multiplicities, got -1"),
+        (lambda: CyclotomicFactorization(Fraction(1), 0, {2: 0}),
+         "factors requires positive indices and multiplicities, got 0"),
+        (lambda: CyclotomicFactorization(Fraction(1), 0, {0: 1}),
+         "factors requires positive indices and multiplicities, got 0"),
+        (lambda: CyclotomicFactorization(Fraction(1), 0, {2.0: 1}),
+         "factors requires positive indices and multiplicities, got 2.0"),
+        (lambda: CyclotomicFactorization(Fraction(1), 0, {2: True}),
+         "factors requires positive indices and multiplicities, got True"),
+        (lambda: CyclotomicFactorization(Fraction(0), 0, {}), "unit must be nonzero"),
+        (lambda: CyclotomicFactorization(Fraction(1), -1, {}), "qpower must be an integer >= 0, got -1"),
+        (lambda: CyclotomicFactorization(Fraction(1), 1.0, {}), "qpower must be an integer >= 0, got 1.0"),
+        (lambda: CyclotomicFactorization(Fraction(1), True, {}), "qpower must be an integer >= 0, got True"),
         # An index, a count or a prime key is an int and never a bool:
         # a float, a Fraction or True is refused even where its value would do.
         (lambda: SolutionSpec({2.0: 1, 3: 1}), "generator key 2.0 is not a prime"),
@@ -117,9 +132,10 @@ def test_is_prime_is_false_on_anything_but_an_int():
         lambda: StructureData((2, 3), {2: 0.5, 3: Fraction(1)}, Fraction(0), {}),
         lambda: StructureData((2, 3), ONES, 0.5, {}),
         lambda: validate_shift((2, 3), 0.5),
+        lambda: CyclotomicFactorization(1.0, 0, {}),
     ],
     ids=["float-coeff", "str-coeff", "monomial", "scaled", "evaluate", "rational-function",
-         "spec", "standard-form", "scale", "shift", "validate-shift"],
+         "spec", "standard-form", "scale", "shift", "validate-shift", "factorization-unit"],
 )
 def test_non_exact_scalar(call):
     # A float or a string is refused, never converted through Fraction(x).

@@ -449,6 +449,14 @@ def outcome_and_divisions(p):
         return factor_outcome(cyclo_factor, p), len(divisions)
 
 
+def assert_read_is_the_scan_table(p):
+    """The read of p's body is the signed q**k - 1 table of the scan's net
+    Phi_d exponents, zeros dropped: the table that decompose peels."""
+    body = qfe.poly._int_primitive(p._ints[p.valuation():])
+    table = qfe.cyclo._moebius_table(cyclo_factor_by_scan(p).factors)
+    assert qfe.cyclo._read_exponents(body) == {k: a for k, a in table.items() if a}
+
+
 units = st.sampled_from([Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-5)])
 qpowers = st.integers(0, 3)
 
@@ -460,6 +468,7 @@ def test_read_agrees_with_scan_on_cyclotomic_products(unit, qpower, factors):
     expected = (unit, qpower, sorted(factors.items()))
     assert outcome_and_divisions(p) == (expected, 0)
     assert factor_outcome(cyclo_factor_by_scan, p) == expected
+    assert_read_is_the_scan_table(p)
 
 
 @given(
@@ -477,6 +486,7 @@ def test_read_completes_the_high_factor_of_dilated_quantum_integers(unit, qpower
     outcome, divisions = outcome_and_divisions(p)
     assert outcome == factor_outcome(cyclo_factor_by_scan, p)
     assert outcome[0] == unit and divisions == 0
+    assert_read_is_the_scan_table(p)
 
 
 @given(st.integers(1, 200))
@@ -486,6 +496,7 @@ def test_read_agrees_with_scan_on_sparse_binomials(degree):
     outcome, divisions = outcome_and_divisions(p)
     assert outcome == factor_outcome(cyclo_factor_by_scan, p)
     assert divisions == 0
+    assert_read_is_the_scan_table(p)
 
 
 @given(st.integers(1, 8), st.sampled_from([None, 1, 2, 3, 6, 10, 12, 30]))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qfe.cyclo import MultisetQuotient, as_multiset_quotient, cyclo_factor
+import qfe.cyclo
+from qfe.cyclo import CyclotomicFactorization, MultisetQuotient, as_multiset_quotient, cyclo_factor
 from qfe.poly import Polynomial, quantum_integer
 from qfe.ratfunc import RationalFunction
 from qfe.solutions import (
@@ -406,6 +407,35 @@ def test_decompose_success_runs_no_gcd_and_no_table_product(monkeypatch):
         assert exc.value.reason == "commutativity"
     assert not gcds
     assert not calls
+    # The read's q**k - 1 tables go to _peel as they are: a success builds
+    # no factorization and forms no table from net Phi_d exponents.  A
+    # synthesize at a prime classifies the spec and returns its generator.
+    def count(owner, name):
+        calls, original = [], getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    factorizations = count(CyclotomicFactorization, "__init__")
+    quotients = count(MultisetQuotient, "__init__")
+    moebius = count(qfe.cyclo, "_moebius_table")
+    assert [decompose(spec) for spec in specs] == data
+    for spec in specs:
+        assert synthesize(spec, spec.primes[0]) == spec.generator(spec.primes[0])
+    assert [spec._structure for spec in specs] == data
+    assert not moebius and not factorizations
+    # Mixed signs split the table into coprime parts with no quotient built.
+    mixed = [sd for sd in data if len({t > 0 for t in sd.exponents.values()}) == 2]
+    assert mixed
+    quotients.clear()
+    for sd in mixed:
+        for n in range(1, 25):
+            closed_form(sd, n)
+    assert moebius and not quotients
 
 
 def test_decompose_reads_sparse_generators_of_high_degree():
