@@ -20,16 +20,18 @@ completes one factor too high to show in the series, and holds when the
 net exponents of the Phi_d are all >= 0.  Only a polynomial that is no
 such product meets the scan over candidate Phi_d, which finds its residual.
 
-``MultisetQuotient`` is the unique representation of such a quotient as
+A quotient of such products is one signed table {k: e} of exponents of
+q**k - 1.  The read yields that table for each part, ``_quotient`` sums a
+generator's two as they are, and the structure classification peels that
+plain {k: e} table with no detour through Phi_d.  ``MultisetQuotient`` is
+the public value that ``as_multiset_quotient`` returns: the same table as
+the unique representation
 
     prod_{u in num} (q**u - 1) / prod_{v in den} (q**v - 1)
 
-with disjoint multisets of indices, or as one signed table {k: e} of
-exponents of q**k - 1.  The read yields such a table, and the structure
-classification peels the sum of a generator's two tables (``_quotient``)
-with no detour through Phi_d.  Net Phi_d exponents (``_net``) appear only in
-the read's certificate, in the coprime split that expands a mixed-sign
-table (``_split``), and in what ``cyclo_factor`` returns.
+with disjoint multisets of indices.  Net Phi_d exponents (``_net``) appear
+only in the read's certificate, in the coprime split that expands a
+mixed-sign table (``_split``), and in what ``cyclo_factor`` returns.
 """
 
 from __future__ import annotations
@@ -478,17 +480,25 @@ def _split(table: Mapping[int, int]) -> tuple[Polynomial, Polynomial]:
 def as_multiset_quotient(num: Polynomial, den: Polynomial) -> MultisetQuotient:
     """Convert a reduced quotient of monic polynomials with nonzero constant
     terms into its unique MultisetQuotient, or raise NonCyclotomicFactor.
+    Both parts are checked before either is read, so any other part raises
+    ValueError, not NonCyclotomicFactor.
 
     A failure certifies that num/den has a zero or pole that is neither 0
     nor a root of unity: it lies outside the family ``decompose`` classifies.
     """
-    return _quotient(num, den, residual=True)
+    for part in (num, den):
+        if part.leading != 1 or not part.constant_term:
+            raise ValueError(f"expected a monic polynomial with nonzero constant term, got {part}")
+    return MultisetQuotient.from_exponents(_quotient(num, den, residual=True))
 
 
-def _quotient(num: Polynomial, den: Polynomial, residual: bool) -> MultisetQuotient | None:
-    """``as_multiset_quotient``; or, when residual is false, None as soon as
-    the read refuses a part, with no residual scan.  The read's tables of the
-    two parts are summed as they are: no net Phi_d exponent is formed."""
+def _quotient(num: Polynomial, den: Polynomial, residual: bool) -> Counter[int] | None:
+    """The signed table {k: e} with num/den == prod (q**k - 1)**e, for monic
+    num and den with nonzero constant terms: the read's tables of the two
+    parts summed as they are, so no net Phi_d exponent is formed and
+    indices shared by the parts keep a zero entry.  When the read refuses a
+    part: with residual true NonCyclotomicFactor, carrying the residual, and
+    with residual false None, with no scan."""
     table: Counter[int] = Counter()
     for part, sign in ((num, 1), (den, -1)):
         if part == ONE:
@@ -496,10 +506,5 @@ def _quotient(num: Polynomial, den: Polynomial, residual: bool) -> MultisetQuoti
         read = _read_table(part, residual)
         if read is None:
             return None
-        if part.valuation() or part.leading != 1:
-            raise ValueError(
-                "expected a monic polynomial with nonzero constant term, "
-                f"got {part}"
-            )
         table.update({k: sign * a for k, a in read.items()})
-    return MultisetQuotient.from_exponents(table)
+    return table

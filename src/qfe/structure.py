@@ -9,11 +9,12 @@ where scale is completely multiplicative on the support, shift is a
 rational number with shift*(n-1) integral on the support, and the product
 runs over a finite exponent table.  ``StructureData`` holds that data.
 As [n]_{q**r} = (q**(r*n) - 1) / (q**r - 1), the rest is gcd-free algebra on
-signed tables of q**k - 1 exponents (``MultisetQuotient``): ``closed_form``
-expands the table ``_quantum_table`` builds, and ``decompose`` divides it
-back out at every prime (``_read``).  The table ``decompose`` peels is the
-one ``cyclo``'s power-series read yields for each generator, summed over its
-numerator and denominator; no net Phi_d exponent is formed on the way.
+plain signed tables {k: e} of q**k - 1 exponents: ``closed_form`` expands
+the table ``_quantum_table`` builds, and ``decompose`` divides it back out at
+every prime (``_read``).  The table ``decompose`` peels is the one
+``cyclo``'s power-series read yields for each generator, summed over its
+numerator and denominator (``_quotient``); no net Phi_d exponent is formed
+and no ``MultisetQuotient`` is built on the way.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import combinations
 
 from ._value import _Value
 from .arith import _index, is_prime
-from .cyclo import MultisetQuotient, NonCyclotomicFactor, _expand, _quotient, _split
+from .cyclo import NonCyclotomicFactor, _expand, _quotient, _split
 from .poly import ONE, _exact
 from .ratfunc import RationalFunction, StandardForm, _assemble
 from .solutions import NotASolution, SolutionSpec, _reject_violations, in_support
@@ -125,10 +126,11 @@ def decompose(spec: SolutionSpec) -> StructureData:
       1. at least two primes, else TooFewPrimes;
       2. standard forms give the scale on each prime and a common shift
          rate, else NotASolution('shift');
-      3. each num/den pair converts to its multiset quotient, else
-         NotASolution('non-cyclotomic') -- the generator has a zero or pole
-         that is neither 0 nor a root of unity, so the spec is outside the
-         classified family (though (q**p - 2)/(q - 2) satisfies the identity);
+      3. each num/den pair is read as its signed table of q**k - 1
+         exponents, else NotASolution('non-cyclotomic') -- the generator
+         has a zero or pole that is neither 0 nor a root of unity, so the
+         spec is outside the classified family (though (q**p - 2)/(q - 2)
+         satisfies the identity);
       4. each prime's table Q_p is read by exact division by x_p - 1 (see
          _read), and the reads must agree (_peel), else
          NotASolution('commutativity') naming each pair (a, b) whose
@@ -165,23 +167,23 @@ def _classify(spec: SolutionSpec, residual: bool) -> StructureData | None:
         p: spec.generator(p).standard_form() for p in spec.primes
     }
     shift = _common_shift(forms)
-    quotients: dict[int, MultisetQuotient] = {}
+    tables: dict[int, Counter[int]] = {}
     for p, form in forms.items():
         try:
-            mq = _quotient(form.num, form.den, residual)
+            table = _quotient(form.num, form.den, residual)
         except NonCyclotomicFactor as exc:
             raise NotASolution(
                 "non-cyclotomic",
                 f"generator for prime {p} has a zero or pole that is neither 0 "
                 f"nor a root of unity (residual factor {exc.residual})",
             ) from exc
-        if mq is None:
+        if table is None:
             return None
-        quotients[p] = mq
+        tables[p] = table
     try:
-        exponents = _peel(quotients)
+        exponents = _peel(tables)
     except NotASolution:
-        reads = {p: _read(mq, p) for p, mq in quotients.items()}
+        reads = {p: _read(e, p) for p, e in tables.items()}
         _reject_violations(
             (a, b)
             for a, b in combinations(spec.primes, 2)
@@ -221,15 +223,15 @@ def _quantum_table(exponents: dict[int, int], n: int) -> Counter[int]:
     return table
 
 
-def _read(mq: MultisetQuotient, p: int) -> dict[int, int] | None:
-    """The t with ``_quantum_table(t, p)`` equal to mq's table e, or None.
+def _read(e: Counter[int], p: int) -> dict[int, int] | None:
+    """The t with ``_quantum_table(t, p)`` equal to the signed table e, or
+    None.  e is a Counter, whose equality ignores zero entries.
 
     Write index k = prod l**a_l as the monomial prod x_l**a_l: a table is an
     integer polynomial, dilating by l multiplies by x_l, and
     ``_quantum_table(t, p)`` is (x_p - 1) * t.  So t is e divided by x_p - 1
     from the top, t[j] = e[j*p] + e[j*p**2] + ..., if that division is exact.
     """
-    e = mq.exponents()
     sums: Counter[int] = Counter()
     for k, v in e.items():
         while k % p == 0:
@@ -239,10 +241,10 @@ def _read(mq: MultisetQuotient, p: int) -> dict[int, int] | None:
     return t if e == _quantum_table(t, p) else None
 
 
-def _peel(quotients: dict[int, MultisetQuotient]) -> dict[int, int]:
+def _peel(tables: dict[int, Counter[int]]) -> dict[int, int]:
     """The exponents t whose ``_quantum_table(t, p)`` is every prime's table:
     the common ``_read`` of all primes, else NotASolution('peeling')."""
-    reads = {p: _read(mq, p) for p, mq in quotients.items()}
+    reads = {p: _read(e, p) for p, e in tables.items()}
     first = min(reads)
     bad = [p for p, t in reads.items() if t is None or t != reads[first]]
     if bad:

@@ -154,7 +154,10 @@ def check_rejections():
     # peeling stall: after one extraction the maxima stop being prime multiples
     _expect(
         NotASolution,
-        lambda: _peel({2: MultisetQuotient(num={4: 1}), 3: MultisetQuotient(num={6: 1})}),
+        lambda: _peel({
+            2: MultisetQuotient(num={4: 1}).exponents(),
+            3: MultisetQuotient(num={6: 1}).exponents(),
+        }),
         reason="peeling",
     )
 

@@ -305,6 +305,12 @@ class TestMultisetQuotient:
             as_multiset_quotient(P(2, 2), ONE)
         with pytest.raises(ValueError):
             as_multiset_quotient(P(0, 1), ONE)
+        # Both parts are checked before either is read: a body that is no
+        # cyclotomic product must not turn this into NonCyclotomicFactor.
+        with pytest.raises(ValueError, match="monic"):
+            as_multiset_quotient(P(-4, 2), ONE)
+        with pytest.raises(ValueError, match="monic"):
+            as_multiset_quotient(P(0, -2, 1), ONE)
 
     def test_value_simple(self):
         assert MultisetQuotient({2: 1}, {1: 1}).value() == RationalFunction(P(1, 1))
