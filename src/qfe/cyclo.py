@@ -19,6 +19,9 @@ certified with no division: the read stops past sum |a_j| = 2 * degree,
 completes one factor too high to show in the series, and holds when the
 net exponents of the Phi_d are all >= 0.  Only a polynomial that is no
 such product meets the scan over candidate Phi_d, which finds its residual.
+On a sparse input the candidates are the few d that Mann's theorem on
+vanishing sums of roots of unity allows (H. B. Mann, Mathematika 12
+(1965)); otherwise they are every d with euler_phi(d) <= degree.
 
 A quotient of such products is one signed table {k: e} of exponents of
 q**k - 1.  The read yields that table for each part, ``_quotient`` sums a
@@ -226,6 +229,42 @@ def _candidates(deg: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
                 heappush(heap, (pd * p, pphi * (p - 1), (*pps, p), j + 1, parent))
 
 
+def _mann_candidates(ints: Sequence[int], deg: int) -> list[tuple[int, int, tuple[int, ...]]] | None:
+    """(d, euler_phi(d), the primes of d ascending) in increasing d for the d
+    with euler_phi(d) <= deg and d <= deg * bitlen(2 * deg**2) that divide
+    N_t * (e_j - e_i) for two exponents e_i < e_j of the t terms of ints,
+    N_t the product of the primes <= t: every d with Phi_d dividing ints is
+    among them (Mann's theorem, see ``cyclo_factor``).
+
+    None, with nothing listed, when the t * (t - 1) / 2 differences times
+    the 2**w divisors of N_t, w the number of primes <= t, pass 2 * deg,
+    about the length of ``_candidates(deg)``: past that, listing the set
+    costs more than the screens it saves over the walk.
+    """
+    support = list(compress(range(len(ints)), ints))
+    t = len(support)
+    n_t = tau = 1
+    for k in range(2, t + 1):
+        if gcd(n_t, k) == 1:  # k is prime: no smaller prime divides it
+            n_t, tau = n_t * k, 2 * tau
+            if t * (t - 1) * tau > 4 * deg:
+                return None
+    bound = deg * (2 * deg * deg).bit_length()
+    found: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+    for delta in {b - a for i, a in enumerate(support) for b in support[i + 1 :]}:
+        rows = [(1, 1, ())]
+        for p, e in factorize(n_t * delta).items():
+            for d, phi, ps in rows[:]:
+                d, phi = d * p, phi * (p - 1)
+                for _ in range(e):
+                    if d > bound or phi > deg:
+                        break
+                    rows.append((d, phi, (*ps, p)))
+                    d, phi = d * p, phi * p
+        found.update((row[0], row) for row in rows)
+    return sorted(found.values())
+
+
 def _cyclotomic_at(x: int, d: int, primes: Iterable[int]) -> int:
     """Phi_d(x) = prod (x**(d/s) - 1)**moebius(s) over the squarefree s | d,
     given the primes of d."""
@@ -349,11 +388,24 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     Only on such an f does ``_residual`` run.  It scans F, not f, for the
     residual (see there), and below f stands for what it scans.  Each Phi_d
     is divided out to its full multiplicity before moving on.  Only d with
-    euler_phi(d) <= deg, the degree of what remains, can divide;
-    ``_candidates`` enumerates exactly those d for the starting degree,
-    with their totients and primes, and no other integer is looked at.
-    Each also has d <= deg * bitlen(2 * deg**2), so the walk, in increasing
-    d, stops at the first d past that bound for what remains.  Proof:
+    euler_phi(d) <= deg, the degree of what remains, can divide, and each
+    has d <= deg * bitlen(2 * deg**2), so the scan, in increasing d, stops
+    at the first d past that bound for what remains.  The candidates come
+    from one of two lists, both with their totients and primes:
+
+    - Mann's set (``_mann_candidates``), when f has few terms for its
+      degree.  If Phi_m divides f = sum c_i q**(e_i), t terms, then f(z) = 0
+      at a primitive m-th root z splits into vanishing subsums with no
+      vanishing proper subsum, of k <= t terms each, and by Mann's theorem
+      the terms of each have (z**(e_i - e_j))**N_k = 1, N_k the product of
+      the primes <= k.  So m divides N_t * (e_j - e_i) for two exponents of
+      f, and the set is the divisors of those numbers within the bounds.
+      Every Phi_d dividing what remains divides f, so the set, built once,
+      serves the whole scan.
+    - Otherwise ``_candidates``, every d with euler_phi(d) <= deg for the
+      starting degree, with no other integer looked at.
+
+    Proof of the bound on d:
     euler_phi(d) >= sqrt(d/2) gives d <= 2 * deg**2.  The distinct primes
     p_1 < ... < p_w of d have p_i >= i + 1, so
     euler_phi(d)/d = prod (1 - 1/p_i) >= 1/(w + 1), and 2**w <= d gives
@@ -395,6 +447,9 @@ def _residual(body: list[int]) -> Polynomial:
     R(q**step), where C(q**step) is a product of cyclotomics and R(q**step)
     has none: a root of unity z with R(z**step) = 0 would make z**step a
     root of R.  So the residual of the body is R(q**step).
+
+    The candidates are Mann's set of F when ``_mann_candidates`` lists it,
+    and the walk ``_candidates`` when F has too many terms for its degree.
     """
     step = _step(body)
     remaining = body[::step]
@@ -403,7 +458,9 @@ def _residual(body: list[int]) -> Polynomial:
         x += 1
         for c in reversed(remaining):
             value = value * x + c
-    for d, phi, primes in _candidates(len(remaining) - 1):
+    deg = len(remaining) - 1
+    candidates = _mann_candidates(remaining, deg)
+    for d, phi, primes in _candidates(deg) if candidates is None else candidates:
         deg = len(remaining) - 1
         if d > deg * (2 * deg * deg).bit_length():
             break

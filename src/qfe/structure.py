@@ -180,10 +180,10 @@ def _classify(spec: SolutionSpec, residual: bool) -> StructureData | None:
         if table is None:
             return None
         tables[p] = table
+    reads = {p: _read(e, p) for p, e in tables.items()}
     try:
-        exponents = _peel(tables)
+        exponents = _peel(reads)
     except NotASolution:
-        reads = {p: _read(e, p) for p, e in tables.items()}
         _reject_violations(
             (a, b)
             for a, b in combinations(spec.primes, 2)
@@ -241,10 +241,10 @@ def _read(e: Counter[int], p: int) -> dict[int, int] | None:
     return t if e == _quantum_table(t, p) else None
 
 
-def _peel(tables: dict[int, Counter[int]]) -> dict[int, int]:
-    """The exponents t whose ``_quantum_table(t, p)`` is every prime's table:
-    the common ``_read`` of all primes, else NotASolution('peeling')."""
-    reads = {p: _read(e, p) for p, e in tables.items()}
+def _peel(reads: dict[int, dict[int, int] | None]) -> dict[int, int]:
+    """The exponents t whose ``_quantum_table(t, p)`` is every prime's table,
+    given each prime's ``_read``: the common read of all primes, else
+    NotASolution('peeling')."""
     first = min(reads)
     bad = [p for p, t in reads.items() if t is None or t != reads[first]]
     if bad:

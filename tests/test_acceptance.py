@@ -23,7 +23,7 @@ from qfe.solutions import (
     synthesize,
     verify_functional_equation,
 )
-from qfe.structure import TooFewPrimes, _peel, closed_form, decompose
+from qfe.structure import TooFewPrimes, _peel, _read, closed_form, decompose
 
 from helpers import random_multiset_pair, random_structure_data, spec_257
 
@@ -155,8 +155,8 @@ def check_rejections():
     _expect(
         NotASolution,
         lambda: _peel({
-            2: MultisetQuotient(num={4: 1}).exponents(),
-            3: MultisetQuotient(num={6: 1}).exponents(),
+            2: _read(MultisetQuotient(num={4: 1}).exponents(), 2),
+            3: _read(MultisetQuotient(num={6: 1}).exponents(), 3),
         }),
         reason="peeling",
     )

@@ -316,6 +316,23 @@ def test_huge_n_off_the_support_answers_at_once(tmp_path):
         assert (done.returncode, done.stdout, done.stderr) == (0, expected, ""), argv
 
 
+def test_sparse_non_cyclotomic_generator_is_refused_at_once(tmp_path):
+    # Three terms at degree 25000: the residual scan screens Mann's few
+    # candidates instead of every d with euler_phi(d) <= 25000.
+    spec = tmp_path / "sparse.json"
+    doc = {"primes": [2, 3], "generators": {"2": "2 + q^24999 + q^25000", "3": "1 + q"}}
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "qfe.cli", "decompose", "--spec", str(spec)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 1
+    assert "residual factor q^25000 + q^24999 + 2" in done.stderr
+
+
 def test_commutativity_check_refuses_dilations_above_max_degree(tmp_path):
     # The pair (2, 10**18 + 3) would dilate h_2 by 10**18 + 3 in the
     # compatibility identity that check, synth and verify all run; the

@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qfe.cyclo
@@ -226,10 +226,9 @@ class TestCycloFactor:
                 with pytest.raises(NonCyclotomicFactor):
                     cyclo_factor(cyclotomic(rng.randint(1, 8)) * stray)
 
-    def test_candidates_screened_are_bounded_by_totient_lemma(self, monkeypatch):
-        # q^64 - q - 1 has no cyclotomic factor, so every candidate is
-        # screened: the d with phi(d) <= 64, all of them below
-        # 64 * bitlen(2 * 64**2) = 896, and none of the other integers.
+    @staticmethod
+    def screened(monkeypatch, p):
+        """The d whose Phi_d(x) the scan of p computes, in order."""
         screened = []
         at = qfe.cyclo._cyclotomic_at
 
@@ -239,9 +238,25 @@ class TestCycloFactor:
 
         monkeypatch.setattr(qfe.cyclo, "_cyclotomic_at", counted)
         with pytest.raises(NonCyclotomicFactor):
-            cyclo_factor(Polynomial.monomial(64) - P(1, 1))
+            cyclo_factor(p)
+        return screened
+
+    def test_candidates_screened_are_bounded_by_totient_lemma(self, monkeypatch):
+        # [65]_q + 1 has all 65 terms and no cyclotomic factor, so the walk
+        # screens every candidate: the d with phi(d) <= 64, all of them
+        # below 64 * bitlen(2 * 64**2) = 896, and none of the other integers.
+        screened = self.screened(monkeypatch, quantum_integer(65) + ONE)
         assert 0 < len(screened) <= 896
         assert screened == [d for d in range(1, 897) if euler_phi(d) <= 64]
+
+    def test_sparse_candidates_are_manns_set(self, monkeypatch):
+        # q^64 - q - 1 has three terms and exponent differences 1, 63 and 64,
+        # so the scan screens the divisors of 6, 6 * 63 and 6 * 64 within the
+        # same bounds, and nothing else.
+        screened = self.screened(monkeypatch, Polynomial.monomial(64) - P(1, 1))
+        mann = {d for n in (6, 6 * 63, 6 * 64) for d in divisors(n) if euler_phi(d) <= 64}
+        assert screened == sorted(d for d in mann if d <= 896)
+        assert len(screened) < len([d for d in range(1, 897) if euler_phi(d) <= 64]) / 4
 
 
 def test_totient_lemma_bounds_scan():
@@ -537,6 +552,91 @@ def test_residual_of_a_dilation_is_the_dilated_residual(base, k, d, dilate_cofac
     assert outcome[0] == "residual"
 
 
+def takes_manns_set(p):
+    """Whether the scan of p, were it to run, would screen Mann's set: the
+    dispatch that ``_residual`` makes on F, where p's body is F(q**step)."""
+    body = qfe.poly._int_primitive(p._ints[p.valuation():])
+    f = body[:: qfe.cyclo._step(body)]
+    return qfe.cyclo._mann_candidates(f, len(f) - 1) is not None
+
+
+def sparse_polynomial(draw, terms, top):
+    """A polynomial with a nonzero constant term and terms - 1 more terms of
+    exponent <= top, coefficients in +-{1, 2, 3}."""
+    exponents = [0] + draw(st.lists(st.integers(1, top), min_size=terms - 1, max_size=terms - 1, unique=True))
+    coeffs = [0] * (max(exponents) + 1)
+    for e in exponents:
+        coeffs[e] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return Polynomial(coeffs)
+
+
+binomials = st.builds(lambda k, s: Polynomial.monomial(k) + P(s), st.integers(1, 30), st.sampled_from([1, -1]))
+
+
+@st.composite
+def dispatched_inputs(draw):
+    """("mann", p) with p sparse for its degree, times at most one q**k +- 1
+    or Phi_d of at most three terms, or ("walk", p) with five or six terms
+    below degree 50, times at most one q**k +- 1 or Phi_d, d <= 30."""
+    side = draw(st.sampled_from(["mann", "walk"]))
+    if side == "mann":
+        p = sparse_polynomial(draw, draw(st.integers(2, 3)), 300)
+        small = st.sampled_from([1, 2, 3, 4, 6]).map(cyclotomic)
+    else:
+        p = sparse_polynomial(draw, draw(st.integers(5, 6)), 50)
+        small = st.integers(1, 30).map(cyclotomic)
+    for factor in draw(st.lists(st.one_of(binomials, small), max_size=1)):
+        p = p * factor
+    return side, p
+
+
+@given(dispatched_inputs(), units)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_sparse_scan_agrees_with_trial_division(side_and_p, unit):
+    """On sparse inputs, with and without a cyclotomic cofactor, on both
+    sides of the dispatch, cyclo_factor has the factors of trial division
+    by every candidate, or the same residual (the body over those factors)."""
+    side, p = side_and_p
+    assume(takes_manns_set(p) == (side == "mann"))
+    p = p.scaled(unit)
+    assert factor_outcome(cyclo_factor, p) == factor_outcome(cyclo_factor_by_scan, p)
+
+
+@st.composite
+def sparse_with_cyclotomic_factors(draw):
+    """Sparse polynomials, some of them products of q**a +- 1."""
+    if draw(st.booleans()):
+        return sparse_polynomial(draw, draw(st.integers(2, 7)), 100)
+    p = ONE
+    for factor in draw(st.lists(binomials, min_size=1, max_size=3)):
+        p = p * factor
+    return p
+
+
+@given(sparse_with_cyclotomic_factors())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_manns_set_holds_every_cyclotomic_divisor(p):
+    """Mann's theorem: if Phi_d divides a t-term f, d divides N_t times a
+    difference of two exponents of f, N_t the product of the primes <= t.
+    The set is built here from plain divisor lists, and ``_mann_candidates``,
+    when it lists one, lists it within the bounds in increasing d."""
+    ints = list(p._ints)
+    deg = len(ints) - 1
+    support = [e for e, c in enumerate(ints) if c]
+    n_t = 1
+    for k in range(2, len(support) + 1):
+        if factorize(k) == {k: 1}:
+            n_t *= k
+    mann = {d for i, a in enumerate(support) for b in support[i + 1 :] for d in divisors(n_t * (b - a))}
+    bound = deg * (2 * deg * deg).bit_length()
+    small = [d for d in range(1, bound + 1) if euler_phi(d) <= deg]
+    dividing = {d for d in small if not qfe.poly._int_divmod(ints, cyclotomic(d)._ints)[1]}
+    assert dividing <= mann
+    listed = qfe.cyclo._mann_candidates(ints, deg)
+    if listed is not None:
+        assert listed == [(d, euler_phi(d), tuple(factorize(d))) for d in small if d in mann]
+
+
 def test_read_stops_on_a_power_sum_at_a_zero_coefficient():
     """This palindrome has f(0) = 1, yet the power sums of its would-be
     roots of unity pass the degree at a zero coefficient of the series,
@@ -645,8 +745,9 @@ def test_screen_moves_past_integer_roots(monkeypatch, p, x):
         ("Polynomial.monomial(400) - Polynomial([1, 1])", 0.1),
         ("Polynomial.monomial(800) - Polynomial([1, 1])", 0.5),
         ("Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]).compose_power(40)", 0.1),
+        ("Polynomial.monomial(33333) + Polynomial.monomial(33332) + Polynomial([2])", 1),
     ],
-    ids=["q^400-q-1", "q^800-q-1", "lehmer(q^40)"],
+    ids=["q^400-q-1", "q^800-q-1", "lehmer(q^40)", "2+q^33332+q^33333"],
 )
 def test_cold_rejection_time(polynomial, limit):
     """Rejections in a fresh process, with every cache empty."""

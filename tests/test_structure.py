@@ -306,7 +306,7 @@ class TestDecomposeRejections:
             3: MultisetQuotient(num={6: 1}),
         }
         with pytest.raises(NotASolution) as exc:
-            _peel({p: mq.exponents() for p, mq in state.items()})
+            _peel({p: _read(mq.exponents(), p) for p, mq in state.items()})
         assert exc.value.reason == "peeling"
 
     def test_peeling_rejects_mixed_sides(self):
@@ -315,7 +315,7 @@ class TestDecomposeRejections:
             3: MultisetQuotient(den={3: 1}),
         }
         with pytest.raises(NotASolution) as exc:
-            _peel({p: mq.exponents() for p, mq in state.items()})
+            _peel({p: _read(mq.exponents(), p) for p, mq in state.items()})
         assert exc.value.reason == "peeling"
 
     def test_peeling_rejects_unbalanced_emptiness(self):
@@ -324,7 +324,7 @@ class TestDecomposeRejections:
             3: MultisetQuotient(),
         }
         with pytest.raises(NotASolution) as exc:
-            _peel({p: mq.exponents() for p, mq in state.items()})
+            _peel({p: _read(mq.exponents(), p) for p, mq in state.items()})
         assert exc.value.reason == "peeling"
 
 
@@ -385,6 +385,24 @@ class TestCompatibilityStage:
             assert str(exc.value) == f"generator pairs {pairs} violate the compatibility identity"
         assert seen == {True, False}
         assert unread >= 5
+
+    def test_reads_each_table_once_when_the_peel_fails(self, monkeypatch):
+        calls = []
+        read = qfe.structure._read
+        monkeypatch.setattr(qfe.structure, "_read", lambda e, p: calls.append(p) or read(e, p))
+        rng = random.Random(5150)
+        rejected = 0
+        for _ in range(40):
+            spec = self.mixed_spec(rng)
+            if not commutativity_violations(spec):
+                continue
+            calls.clear()
+            with pytest.raises(NotASolution) as exc:
+                decompose(spec)
+            assert exc.value.reason == "commutativity"
+            assert sorted(calls) == list(spec.primes)
+            rejected += 1
+        assert rejected >= 10
 
 
 def test_decompose_success_runs_no_gcd_and_no_table_product(monkeypatch):
@@ -502,7 +520,8 @@ class TestPeel:
                 k = rng.choice([*table, rng.randint(1, 40)])
                 table[k] += rng.choice([-1, 1])
                 quotients[p] = MultisetQuotient.from_exponents(table)
-            result = self.outcome(_peel, {p: mq.exponents() for p, mq in quotients.items()})
+            reads = {p: _read(mq.exponents(), p) for p, mq in quotients.items()}
+            result = self.outcome(_peel, reads)
             assert result == self.outcome(peel_greedy, quotients), quotients
             if kind == "genuine":
                 assert result == dict(sorted(exponents.items()))
@@ -515,9 +534,9 @@ class TestPeel:
         genuine = {p: MultisetQuotient({p * 10**12: 1}, {10**12: 1}) for p in (2, 3)}
         start = time.perf_counter()
         with pytest.raises(NotASolution) as exc:
-            _peel({p: mq.exponents() for p, mq in hostile.items()})
+            _peel({p: _read(mq.exponents(), p) for p, mq in hostile.items()})
         assert exc.value.reason == "peeling"
-        assert _peel({p: mq.exponents() for p, mq in genuine.items()}) == {10**12: 1}
+        assert _peel({p: _read(mq.exponents(), p) for p, mq in genuine.items()}) == {10**12: 1}
         assert time.perf_counter() - start < 0.1
 
     def test_builds_no_quotients(self, monkeypatch):
@@ -534,8 +553,8 @@ class TestPeel:
         for _ in range(50):
             quotients, exponents = genuine_quotients(rng, (2, 3, 5))
             before = len(calls)
-            tables = {p: mq.exponents() for p, mq in quotients.items()}
-            assert _peel(tables) == dict(sorted(exponents.items()))
+            reads = {p: _read(mq.exponents(), p) for p, mq in quotients.items()}
+            assert _peel(reads) == dict(sorted(exponents.items()))
             assert len(calls) == before
         assert calls
 
