@@ -324,10 +324,7 @@ def _read_exponents(ints: list[int]) -> dict[int, int] | None:
     flipped = ints[::-1]
     if flipped != ints and flipped != [-v for v in ints]:
         return None
-    # ints is F(q**step): the series of F is read, and its table dilated by
-    # step is the table of ints.
-    step = _step(ints)
-    series = ints[::step] if ints[0] == 1 else [-v for v in ints[::step]]
+    series = ints if ints[0] == 1 else [-v for v in ints]
     top = len(series) - 1
     last = top * (2 * top * top).bit_length()
     n = top + 1
@@ -339,9 +336,8 @@ def _read_exponents(ints: list[int]) -> dict[int, int] | None:
         if rest >= n:
             read[rest] = 1
         if rest == 0 or rest >= n:
-            table = {step * j: a for j, a in read.items()}
-            if min(_net(table).values(), default=0) >= 0:
-                return table
+            if min(_net(read).values(), default=0) >= 0:
+                return read
         if n > last:
             return None
         n = min(2 * n, last + 1)
@@ -357,10 +353,11 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
     any other f goes straight to the scan below.  Normalized to f(0) = 1,
     f = prod (1 - q**j)**a_j, and the a_j come off in turn mod q**n, from
     n = D + 1, one stride pass of ``_expand`` per unit of |a_j|.  When
-    f = F(q**step), step the gcd of the exponents of f, F is read instead,
-    and its table dilated by step is the table of f.  The read yields that
-    signed table {j: a_j}, the one ``decompose`` peels; only here is it
-    turned into the ascending nonzero net exponents m_d of the result.
+    f = F(q**step), step the gcd of the exponents of f, ``_read_table``
+    reads F instead, and its table dilated by step is the table of f.  The
+    read yields that signed table {j: a_j}, the one ``decompose`` peels;
+    only here is it turned into the ascending nonzero net exponents m_d of
+    the result.
 
     - Budget.  Phi_d = +-prod (1 - q**(d/s))**moebius(s) over the
       squarefree s | d has 2**w terms, w the number of primes of d, and
@@ -385,13 +382,14 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
       product is therefore always read, Phi_10 alone at n = 2 * D + 2;
       a None means f is no product.
 
-    Only on such an f does ``_residual`` run.  It scans F, not f, for the
-    residual (see there), and below f stands for what it scans.  Each Phi_d
-    is divided out to its full multiplicity before moving on.  Only d with
-    euler_phi(d) <= deg, the degree of what remains, can divide, and each
-    has d <= deg * bitlen(2 * deg**2), so the scan, in increasing d, stops
-    at the first d past that bound for what remains.  The candidates come
-    from one of two lists, both with their totients and primes:
+    Only on such an f does ``_residual`` run.  ``_read_table`` has it scan
+    F, not f, for the residual (see there), and below f stands for what it
+    scans.  Each Phi_d is divided out to its full multiplicity before
+    moving on.  Only d with euler_phi(d) <= deg, the degree of what
+    remains, can divide, and each has d <= deg * bitlen(2 * deg**2), so the
+    scan, in increasing d, stops at the first d past that bound for what
+    remains.  The candidates come from one of two lists, both with their
+    totients and primes:
 
     - Mann's set (``_mann_candidates``), when f has few terms for its
       degree.  If Phi_m divides f = sum c_i q**(e_i), t terms, then f(z) = 0
@@ -426,33 +424,36 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
 def _read_table(p: Polynomial, residual: bool) -> dict[int, int] | None:
     """``_read_exponents`` of the primitive integer body of a nonzero p.  When
     p is no product of cyclotomics: with residual true NonCyclotomicFactor,
-    carrying the residual, and with residual false None, with no scan."""
+    carrying the residual, and with residual false None, with no scan.
+
+    The body is F(q**step), step the gcd of its exponents, and both the read
+    and the scan run on F.  The table of F dilated by step is the table of
+    the body.  If F = C * R, with C a product of cyclotomics and R free of
+    them, then the body is C(q**step) * R(q**step), where C(q**step) is a
+    product of cyclotomics and R(q**step) has none: a root of unity z with
+    R(z**step) = 0 would make z**step a root of R.  So the residual of the
+    body is R(q**step).
+    """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     # By Gauss's lemma each monic Phi_d dividing the primitive integer part
     # leaves an integer quotient.
     body = _int_primitive(p._ints[p.valuation():])
-    table = _read_exponents(body)
+    step = _step(body)
+    table = _read_exponents(body[::step])
     if table is None and residual:
-        raise NonCyclotomicFactor(_residual(body))
-    return table
+        raise NonCyclotomicFactor(_residual(body[::step]).compose_power(step))
+    return None if table is None else {step * k: a for k, a in table.items()}
 
 
-def _residual(body: list[int]) -> Polynomial:
+def _residual(remaining: list[int]) -> Polynomial:
     """The monic residual of a primitive integer body that is no product of
     cyclotomics: what is left of it once every Phi_d is divided out.
 
-    The scan runs on F, where the body is F(q**step).  If F = C * R, with C a
-    product of cyclotomics and R free of them, then the body is C(q**step) *
-    R(q**step), where C(q**step) is a product of cyclotomics and R(q**step)
-    has none: a root of unity z with R(z**step) = 0 would make z**step a
-    root of R.  So the residual of the body is R(q**step).
-
-    The candidates are Mann's set of F when ``_mann_candidates`` lists it,
-    and the walk ``_candidates`` when F has too many terms for its degree.
+    The candidates are Mann's set of the body when ``_mann_candidates``
+    lists it, and the walk ``_candidates`` when it has too many terms for
+    its degree.
     """
-    step = _step(body)
-    remaining = body[::step]
     x, value = 1, 0
     while not value:  # x = 2, or the next integer while x is a root
         x += 1
@@ -473,7 +474,7 @@ def _residual(body: list[int]) -> Polynomial:
         while value % at_x == 0 and _cyclotomic_divides(phi_d, remaining, d):
             remaining = _exact_int_div(remaining, phi_d)
             value //= at_x
-    return Polynomial(remaining).monic().compose_power(step)
+    return Polynomial(remaining).monic()
 
 
 class MultisetQuotient(_Value):

@@ -14,7 +14,11 @@ the table ``_quantum_table`` builds, and ``decompose`` divides it back out at
 every prime (``_read``).  The table ``decompose`` peels is the one
 ``cyclo``'s power-series read yields for each generator, summed over its
 numerator and denominator (``_quotient``); no net Phi_d exponent is formed
-and no ``MultisetQuotient`` is built on the way.
+and no ``MultisetQuotient`` is built on the way.  ``_classify`` runs each
+of ``decompose``'s stages once, in order, for both ``decompose`` and the
+classification ``synthesize`` asks for (``_classified``): the prime count,
+the shift, one read per prime, and the pairs whose reads differ, named
+before the common read is taken.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ def degree_signature(sd: StructureData, n: int) -> int:
 def decompose(spec: SolutionSpec) -> StructureData:
     """Recover the StructureData of the solution generated by spec.
 
-    Stages, cheapest first:
+    Stages, cheapest first, each run once by ``_classify``:
       1. at least two primes, else TooFewPrimes;
       2. standard forms give the scale on each prime and a common shift
          rate, else NotASolution('shift');
@@ -132,42 +136,43 @@ def decompose(spec: SolutionSpec) -> StructureData:
          spec is outside the classified family (though (q**p - 2)/(q - 2)
          satisfies the identity);
       4. each prime's table Q_p is read by exact division by x_p - 1 (see
-         _read), and the reads must agree (_peel), else
+         _read), and the reads must agree, else
          NotASolution('commutativity') naming each pair (a, b) whose
          identity (1 - x_b) * Q_a == (1 - x_a) * Q_b fails.  The x_a - 1 and
          x_b - 1 are distinct primes of the UFD Z[x_2, x_3, ...], so it holds
          iff Q_a = (x_a - 1) * t and Q_b = (x_b - 1) * t for one t, that is
-         iff both reads exist and are equal.
+         iff both reads exist and are equal.  The pairs are named before
+         the common read is taken (_peel), which therefore always succeeds.
 
     The result reproduces every generator: closed_form(sd, p) == h_p.
     """
-    if len(spec.primes) < 2:
-        raise TooFewPrimes(
-            f"decomposition needs at least two primes, got {list(spec.primes)}"
-        )
     return _classify(spec, residual=True)
 
 
 def _classified(spec: SolutionSpec) -> StructureData | None:
     """The StructureData of spec when its generators have the closed form,
-    else None: ``decompose`` with no residual scan, for ``synthesize``."""
-    if len(spec.primes) < 2:
-        return None
+    else None: ``decompose`` with no residual scan, for ``synthesize``.
+    Over a single prime, and on any spec ``decompose`` rejects, it is None."""
     try:
         return _classify(spec, residual=False)
-    except NotASolution:
+    except (TooFewPrimes, NotASolution):
         return None
 
 
 def _classify(spec: SolutionSpec, residual: bool) -> StructureData | None:
-    """Stages 2-4 of ``decompose`` over at least two primes.  With residual
-    true every failure raises.  With residual false, a generator that the
+    """Stages 1-4 of ``decompose``, each once and in order: stage 4 names
+    the pairs whose reads differ before ``_peel`` takes the common read.
+    With residual true every failure raises.  With residual false, a generator that the
     read refuses gives None at once, and no residual scan runs."""
+    if len(spec.primes) < 2:
+        raise TooFewPrimes(
+            f"decomposition needs at least two primes, got {list(spec.primes)}"
+        )
     forms: dict[int, StandardForm] = {
         p: spec.generator(p).standard_form() for p in spec.primes
     }
     shift = _common_shift(forms)
-    tables: dict[int, Counter[int]] = {}
+    reads: dict[int, dict[int, int] | None] = {}
     for p, form in forms.items():
         try:
             table = _quotient(form.num, form.den, residual)
@@ -179,22 +184,17 @@ def _classify(spec: SolutionSpec, residual: bool) -> StructureData | None:
             ) from exc
         if table is None:
             return None
-        tables[p] = table
-    reads = {p: _read(e, p) for p, e in tables.items()}
-    try:
-        exponents = _peel(reads)
-    except NotASolution:
-        _reject_violations(
-            (a, b)
-            for a, b in combinations(spec.primes, 2)
-            if reads[a] is None or reads[a] != reads[b]
-        )
-        raise
+        reads[p] = _read(table, p)
+    _reject_violations(
+        (a, b)
+        for a, b in combinations(spec.primes, 2)
+        if reads[a] is None or reads[a] != reads[b]
+    )
     return StructureData(
         primes=spec.primes,
         scales={p: forms[p].scale for p in spec.primes},
         shift=shift,
-        exponents=exponents,
+        exponents=_peel(reads),
     )
 
 

@@ -261,6 +261,11 @@ class TestDecomposeRejections:
         with pytest.raises(TooFewPrimes):
             decompose(SolutionSpec({2: quantum_integer(2)}))
 
+    def test_too_few_primes_message(self):
+        with pytest.raises(TooFewPrimes) as exc:
+            decompose(SolutionSpec({2: P(1, 1)}))
+        assert str(exc.value) == "decomposition needs at least two primes, got [2]"
+
     def test_commutativity_violation(self):
         spec = SolutionSpec({2: P(1, 1), 3: P(1, 0, 1)})
         with pytest.raises(NotASolution) as exc:
@@ -403,6 +408,29 @@ class TestCompatibilityStage:
             assert sorted(calls) == list(spec.primes)
             rejected += 1
         assert rejected >= 10
+
+    def test_names_the_pairs_before_the_peel(self, monkeypatch):
+        raised, reasons = [], []
+        peel = qfe.structure._peel
+
+        def recorded(reads):
+            try:
+                return peel(reads)
+            except NotASolution as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(qfe.structure, "_peel", recorded)
+        rng = random.Random(5150)
+        for _ in range(40):
+            spec = self.mixed_spec(rng)
+            try:
+                decompose(spec)
+            except NotASolution as exc:
+                reasons.append(exc.reason)
+        assert not raised
+        assert "peeling" not in reasons
+        assert "commutativity" in reasons
 
 
 def test_decompose_success_runs_no_gcd_and_no_table_product(monkeypatch):
