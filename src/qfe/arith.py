@@ -1,10 +1,15 @@
 """Small integer number theory: factorization, Moebius, Euler phi, divisors.
 
 Everything but ``is_prime`` rests on ``factorize``: trial division by 2 and
-the odd numbers up to the square root of what is left of n.
+the odd numbers up to the square root of what is left of n.  The cyclotomic
+kernel asks for the divisors and primes of the same small indices again and
+again, so ``_divisors`` and ``_primes`` keep them in bounded caches, as
+tuples that every caller may share.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 def _index(value: object, least: int | None, message: str) -> int:
@@ -92,3 +97,15 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).items():
         out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)
+
+
+@lru_cache(maxsize=4096)
+def _divisors(n: int) -> tuple[int, ...]:
+    """``divisors(n)`` as a cached tuple."""
+    return tuple(divisors(n))
+
+
+@lru_cache(maxsize=4096)
+def _primes(n: int) -> tuple[int, ...]:
+    """The primes of n ascending, the keys of ``factorize(n)``, as a cached tuple."""
+    return tuple(factorize(n))

@@ -16,8 +16,10 @@ so the a_j are read off its power series one coefficient at a time (the
 inverse Euler transform, N. J. A. Sloane and S. Plouffe, The Encyclopedia
 of Integer Sequences, 1995), by ``_expand``'s kernel run backwards, and
 certified with no division: the read stops past sum |a_j| = 2 * degree,
-completes one factor too high to show in the series, and holds when the
-net exponents of the Phi_d are all >= 0.  Only a polynomial that is no
+completes one factor too high to show in the series, and holds when both
+sides of f * prod_{a_j<0} (1 - q**j)**-a_j == prod_{a_j>0} (1 - q**j)**a_j
+are palindromes of one sign whose low halves the series fixes, or else when
+the net exponents of the Phi_d are all >= 0.  Only a polynomial that is no
 such product meets the scan over candidate Phi_d, which finds its residual.
 On a sparse input the candidates are the few d that Mann's theorem on
 vanishing sums of roots of unity allows (H. B. Mann, Mathematika 12
@@ -33,8 +35,9 @@ the unique representation
     prod_{u in num} (q**u - 1) / prod_{v in den} (q**v - 1)
 
 with disjoint multisets of indices.  Net Phi_d exponents (``_net``) appear
-only in the read's certificate, in the coprime split that expands a
-mixed-sign table (``_split``), and in what ``cyclo_factor`` returns.
+only in the read's fallback certificate, in the coprime split that expands
+a mixed-sign table (``_split``), and in what ``cyclo_factor`` returns; the
+divisors and primes of the indices come from ``arith``'s caches.
 """
 
 from __future__ import annotations
@@ -45,10 +48,10 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, compress
 from math import gcd, isqrt
-from operator import sub
+from operator import add, sub
 
 from ._value import _Value
-from .arith import _index, divisors, factorize
+from .arith import _divisors, _index, _primes, factorize
 from .poly import ONE, Polynomial, _exact, _int_divmod, _int_primitive, _make
 from .ratfunc import RationalFunction
 
@@ -103,12 +106,12 @@ class CyclotomicFactorization(_Value):
 def _moebius_table(exponents: Mapping[int, int]) -> Counter[int]:
     """The signed table {j: a} with prod Phi_d**m == prod (q**j - 1)**a.
 
-    The terms of Phi_d come from ``_moebius_terms`` and one factorization
+    The terms of Phi_d come from ``_moebius_terms`` and the cached primes
     of d.
     """
     table: Counter[int] = Counter()
     for d, m in exponents.items():
-        table.update(dict(_moebius_terms(d, m, factorize(d))))
+        table.update(dict(_moebius_terms(d, m, _primes(d))))
     return table
 
 
@@ -126,7 +129,7 @@ def _net(table: Mapping[int, int]) -> dict[int, int]:
     prod (q**j - 1)**a_j == prod Phi_d**m_d with m_d = sum_{d | j} a_j."""
     net: dict[int, int] = {}
     for j, a in table.items():
-        for d in divisors(j):
+        for d in _divisors(j):
             net[d] = net.get(d, 0) + a
     return net
 
@@ -141,11 +144,23 @@ def _times_unit(c: list[int], j: int) -> None:
     c[j:] = map(sub, c[j:], c[:-j])
 
 
-def _over_unit(c: list[int], j: int) -> None:
-    """c /= 1 - q**j in place, as a power series cut after len(c) terms:
-    the running sum along each residue class mod j that has two terms."""
-    for i in range(min(j, len(c) - j)):
-        c[i::j] = accumulate(c[i::j])
+def _over_unit(c: list[int], j: int, a: int) -> None:
+    """c /= (1 - q**j)**a in place, as a power series cut after len(c)
+    terms: a rounds of the running sum along each residue class mod j.
+    When j*j >= len(c) there are no more blocks of j terms than classes, so
+    a round adds to each block the one before it instead,
+    c[b:b+j] += c[b-j:b] in increasing b: the same running sums, in
+    len(c)/j slice operations rather than j."""
+    if j * j >= len(c):
+        for _ in range(a):
+            for b in range(j, len(c), j):
+                c[b : b + j] = map(add, c[b : b + j], c[b - j : b])
+        return
+    for i in range(j):
+        column = c[i::j]
+        for _ in range(a):
+            column = accumulate(column)
+        c[i::j] = column
 
 
 def _expand(table: Mapping[int, int]) -> Polynomial:
@@ -160,8 +175,8 @@ def _expand(table: Mapping[int, int]) -> Polynomial:
     for j, a in table.items():
         for _ in range(a):
             _times_unit(c, j)
-        for _ in range(-a):
-            _over_unit(c, j)
+        if a < 0:
+            _over_unit(c, j, -a)
     return _make([-v for v in c] if sum(table.values()) % 2 else c)
 
 
@@ -300,8 +315,8 @@ def _inverse_euler(series: list[int], n: int, top: int) -> dict[int, int] | None
                 return None
             table[j] = a
             s[j::j] = [v + j * a for v in s[j::j]]
-            for _ in range(a):
-                _over_unit(c, j)
+            if a > 0:
+                _over_unit(c, j, a)
             for _ in range(-a):
                 _times_unit(c, j)
         elif abs(s[j]) > top:
@@ -322,7 +337,8 @@ def _read_exponents(ints: list[int]) -> dict[int, int] | None:
     if ints[0] not in (1, -1):
         return None
     flipped = ints[::-1]
-    if flipped != ints and flipped != [-v for v in ints]:
+    odd = flipped != ints  # anti-palindromic
+    if odd and flipped != [-v for v in ints]:
         return None
     series = ints if ints[0] == 1 else [-v for v in ints]
     top = len(series) - 1
@@ -336,6 +352,9 @@ def _read_exponents(ints: list[int]) -> dict[int, int] | None:
         if rest >= n:
             read[rest] = 1
         if rest == 0 or rest >= n:
+            deg_a = sum(j * a for j, a in read.items() if a > 0)  # P in cyclo_factor
+            if 2 * n > deg_a and sum(read.values()) % 2 == odd:
+                return read
             if min(_net(read).values(), default=0) >= 0:
                 return read
         if n > last:
@@ -372,10 +391,22 @@ def cyclo_factor(p: Polynomial) -> CyclotomicFactorization:
       the one factor 1 - q**rest.  With n = D + 1 this completes every
       [p]_{q**r}, whose top index r * p is above its degree.  Any other
       nonzero rest leaves the read uncertified.
-    - Certificate.  When the net exponents m_d = sum_{d | j} a_j are all
-      >= 0, g = +-prod (1 - q**j)**a_j is +-prod Phi_d**m_d, a polynomial
-      of degree sum m_d * euler_phi(d) = sum j * a_j = D that agrees with
-      f mod q**n, n > D.  So f = g, and no division checks it.
+    - Certificate.  Let A = prod_{a_j>0} (1 - q**j)**a_j,
+      B = prod_{a_j<0} (1 - q**j)**-a_j and P = sum_{a_j>0} j * a_j.  The
+      read gives A == f * B mod q**n, and once rest is settled both sides
+      have degree P.  Each 1 - q**j is anti-palindromic, so A is a
+      palindrome of sign (-1)**sum_{a_j>0} a_j, and f * B one of sign
+      s * (-1)**sum_{a_j<0} |a_j|, where s = -1 exactly when f is
+      anti-palindromic.  When s = (-1)**sum a_j the signs agree, and when
+      also 2 * n > P every coefficient of either side lies at an index
+      below n or mirrors one that does.  Then A = f * B, f = A / B, and no
+      divisor is summed.  Only when that test fails does the net-exponent
+      test run: when m_d = sum_{d | j} a_j are all >= 0,
+      g = +-prod (1 - q**j)**a_j is +-prod Phi_d**m_d, a polynomial of
+      degree sum m_d * euler_phi(d) = sum j * a_j = D that agrees with f
+      mod q**n, n > D, so f = g.  The first test implies the second, as
+      f = A / B is then a polynomial, so the two decide alike at every n.
+      No division checks either.
     - Precision.  An uncertified read runs again with n doubled, until
       n > D * bitlen(2 * D**2).  Every index of a product is at most that
       bound (proof below), so then rest = 0 and the certificate holds.  A

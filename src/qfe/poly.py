@@ -215,7 +215,8 @@ class Polynomial:
         c = _exact(c)
         if not c:
             return ZERO
-        return _make([v * c.numerator for v in self._ints], self._den * c.denominator)
+        num = c.numerator
+        return _make([v * num for v in self._ints], self._den * c.denominator)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:

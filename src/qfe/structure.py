@@ -190,12 +190,12 @@ def _classify(spec: SolutionSpec, residual: bool) -> StructureData | None:
         for a, b in combinations(spec.primes, 2)
         if reads[a] is None or reads[a] != reads[b]
     )
-    return StructureData(
-        primes=spec.primes,
-        scales={p: forms[p].scale for p in spec.primes},
-        shift=shift,
-        exponents=_peel(reads),
-    )
+    # Valid by construction, so unchecked: the primes are a SolutionSpec's,
+    # the scales nonzero Fractions, shift * (p - 1) integral by
+    # _common_shift, and _peel's exponents nonzero ints on positive keys.
+    sd = object.__new__(StructureData)
+    _Value.__init__(sd, spec.primes, {p: forms[p].scale for p in spec.primes}, shift, _peel(reads))
+    return sd
 
 
 def _common_shift(forms: dict[int, StandardForm]) -> Fraction:

@@ -4,10 +4,11 @@ The oracles here deliberately take different routes than the library code:
 compositions go through Horner evaluation in the polynomial ring, cyclotomic
 polynomials through the Moebius product over q**d - 1, Moebius values
 through naive squarefree inspection, and closed forms through dense
-quantum-integer products reduced by a gcd.  Six are earlier designs of
-library routines, kept as references: ``peel_greedy`` removes one
-quantum-integer factor per round, ``term_by_fold`` folds prime powers,
-``cyclo_factor_by_scan`` trial-divides by every candidate Phi_d,
+quantum-integer products reduced by a gcd.  Seven are earlier designs of
+library routines, kept as references: ``read_exponents_by_net`` certifies
+the power-series read by net Phi_d exponents alone, ``peel_greedy``
+removes one quantum-integer factor per round, ``term_by_fold`` folds prime
+powers, ``cyclo_factor_by_scan`` trial-divides by every candidate Phi_d,
 ``multiset_value_by_two_products`` expands both sides of a quotient by
 their own Moebius transform, ``violations_by_field_products`` checks the
 compatibility identity by reduced products in the rational-function field,
@@ -41,7 +42,7 @@ from qfe import (
     q_power_minus_one,
 )
 from qfe.arith import divisors, euler_phi, factorize
-from qfe.cyclo import _cyclotomic_product
+from qfe.cyclo import _cyclotomic_product, _inverse_euler, _net
 from qfe.poly import _int_divmod, _int_primitive, quantum_integer
 from qfe.solutions import NotASolution, _term, in_support
 from qfe.structure import scale_at
@@ -192,6 +193,33 @@ def closed_form_by_products(sd: StructureData, n: int) -> RationalFunction:
     else:
         den = den.shift(-int(e))
     return RationalFunction(num, den)
+
+
+def read_exponents_by_net(ints: list[int]) -> dict[int, int] | None:
+    """cyclo._read_exponents with the net-exponent certificate only: a
+    settled read holds when every net Phi_d exponent is >= 0."""
+    if ints[0] not in (1, -1):
+        return None
+    flipped = ints[::-1]
+    if flipped != ints and flipped != [-v for v in ints]:
+        return None
+    series = ints if ints[0] == 1 else [-v for v in ints]
+    top = len(series) - 1
+    last = top * (2 * top * top).bit_length()
+    n = top + 1
+    while True:
+        read = _inverse_euler(series, n, top)
+        if read is None:
+            return None
+        rest = top - sum(j * a for j, a in read.items())
+        if rest >= n:
+            read[rest] = 1
+        if rest == 0 or rest >= n:
+            if min(_net(read).values(), default=0) >= 0:
+                return read
+        if n > last:
+            return None
+        n = min(2 * n, last + 1)
 
 
 def peel_greedy(quotients: dict[int, MultisetQuotient]) -> dict[int, int]:

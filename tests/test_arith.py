@@ -4,7 +4,7 @@ from math import isqrt, prod
 
 import pytest
 
-from qfe.arith import factorize, is_prime
+from qfe.arith import _divisors, _primes, divisors, factorize, is_prime
 
 
 def test_factorize_reassembles_into_ascending_primes():
@@ -58,3 +58,11 @@ def test_is_prime_refuses_past_the_deterministic_bound():
         with pytest.raises(ValueError):
             is_prime(n)
     assert time.perf_counter() - start < 0.5
+
+
+def test_cached_divisors_and_primes_are_shared_tuples():
+    for n in range(1, 3001):
+        assert _divisors(n) == tuple(divisors(n)), n
+        assert _primes(n) == tuple(factorize(n)), n
+        assert type(_divisors(n)) is tuple and type(_primes(n)) is tuple
+    assert _divisors(2520) is _divisors(2520)

@@ -26,7 +26,8 @@ from qfe.cyclo import (
 )
 from qfe.poly import ONE, ZERO, Polynomial, quantum_integer
 from qfe.ratfunc import RationalFunction
-from qfe.structure import closed_form
+from qfe.solutions import SolutionSpec
+from qfe.structure import StructureData, closed_form, decompose
 
 from helpers import (
     cyclo_factor_by_scan,
@@ -36,6 +37,7 @@ from helpers import (
     power_product,
     random_multiset_pair,
     random_structure_data,
+    read_exponents_by_net,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -776,3 +778,86 @@ def test_value_matches_two_product_route():
         value = mq.value()
         expected = multiset_value_by_two_products(mq)
         assert (value.num, value.den) == (expected.num, expected.den), mq
+
+
+CERTIFIED_D = (*range(1, 13), 14, 15, 21, 30, 35, 42, 60, 70, 105, 210)
+LEHMER = P(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+PALINDROMIC_COFACTORS = (LEHMER, P(1, 3, 1))
+# (q - 1)(q^2 + 3q + 1) and (q^2 - 1)(q^2 - 3q + 1)
+ANTI_PALINDROMIC_COFACTORS = (P(-1, -2, 2, 1), P(-1, 3, 0, -3, 1))
+
+
+def certificate_body(rng):
+    """The integer body of a product of up to five Phi_d, d in CERTIFIED_D,
+    made anti-palindromic by factors q**k - 1 or times a non-cyclotomic
+    cofactor of either symmetry, and negated half the time."""
+    p = ONE
+    for d in rng.choices(CERTIFIED_D, k=rng.randint(1, 5)):
+        p = p * cyclotomic(d)
+    kind = rng.choice(["product", "anti-palindromic", "cofactor", "anti-palindromic cofactor"])
+    if kind.startswith("anti-palindromic"):
+        while p.coeffs == p.coeffs[::-1]:
+            p = p * q_power_minus_one(rng.randint(1, 12))
+    if kind == "cofactor":
+        p = p * rng.choice(PALINDROMIC_COFACTORS)
+    if kind == "anti-palindromic cofactor":
+        p = p * rng.choice(PALINDROMIC_COFACTORS + ANTI_PALINDROMIC_COFACTORS)
+    ints = [int(c) for c in p.coeffs]
+    return ints if rng.random() < 0.5 else [-v for v in ints]
+
+
+def test_palindromic_certificate_agrees_with_net_exponents(monkeypatch):
+    """The read certified by palindromy, with net exponents as the fallback,
+    gives what the net-exponent certificate alone gives; both branches run."""
+    fallbacks = []
+    net = qfe.cyclo._net
+    monkeypatch.setattr(qfe.cyclo, "_net", lambda table: fallbacks.append(table) or net(table))
+    rng = random.Random(27)
+    reads = 0
+    for _ in range(3000):
+        body = certificate_body(rng)
+        read = qfe.cyclo._read_exponents(body)
+        assert read == read_exponents_by_net(body), body
+        reads += read is not None
+    assert 0 < len(fallbacks) < reads
+
+
+def test_one_signed_closed_forms_never_need_the_fallback(monkeypatch):
+    fallbacks = []
+    net = qfe.cyclo._net
+    monkeypatch.setattr(qfe.cyclo, "_net", lambda table: fallbacks.append(table) or net(table))
+    rng = random.Random(28)
+    for _ in range(300):
+        sd = random_structure_data(rng)
+        sign = rng.choice((-1, 1))
+        sd = StructureData(sd.primes, sd.scales, sd.shift, {r: sign * abs(t) for r, t in sd.exponents.items()})
+        assert decompose(SolutionSpec({p: closed_form(sd, p) for p in sd.primes})) == sd
+    assert not fallbacks
+
+
+def test_over_unit_is_repeated_running_sums():
+    rng = random.Random(29)
+    for length in (1, 2, 3, 4, 5, 8, 9, 10, 16, 17, 30):
+        c = [rng.randint(-5, 5) for _ in range(length)]
+        for j in range(1, length + 2):  # j*j below, at and above len(c); j >= len(c)
+            for a in (1, 2, 3):
+                expected = c[:]
+                for _ in range(a):
+                    for i in range(j, length):
+                        expected[i] += expected[i - j]
+                got = c[:]
+                qfe.cyclo._over_unit(got, j, a)
+                assert got == expected, (c, j, a)
+
+
+@pytest.mark.parametrize("ds", [(24, 42), (30, 54), (48, 84), (130, 210)])
+def test_palindromy_certifies_only_with_half_the_product_in_view(ds):
+    """Phi_24 * Phi_42 first settles at n = 21 as one high factor 1 - q**45
+    in place of (1 - q**24)(1 - q**42) / (1 - q**21): the sign matches, but
+    2 * n <= P, so the palindromic test must not accept that read."""
+    p = ONE
+    for d in ds:
+        p = p * cyclotomic(d)
+    body = [int(c) for c in p.coeffs]
+    table = qfe.cyclo._moebius_table(dict.fromkeys(ds, 1))
+    assert qfe.cyclo._read_exponents(body) == {k: a for k, a in sorted(table.items()) if a}

@@ -648,3 +648,30 @@ def test_decompose_succeeds_exactly_on_solutions(spec):
         assert is_commutative(spec)
         assert not violations_by_field_products(spec)
         assert all(closed_form(sd, p) == spec.generator(p) for p in spec.primes)
+
+
+def assert_validation_accepts(sd):
+    """decompose builds its StructureData unchecked; the checks accept it."""
+    assert StructureData(sd.primes, sd.scales, sd.shift, sd.exponents) == sd
+    assert type(sd.primes) is tuple and type(sd.shift) is Fraction
+    assert all(type(v) is Fraction for v in sd.scales.values())
+    assert all(type(t) is int for t in sd.exponents.values())
+
+
+@given(theorem_specs())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_decompose_returns_only_what_validation_accepts(spec):
+    try:
+        sd = decompose(spec)
+    except NotASolution:
+        return
+    assert_validation_accepts(sd)
+
+
+def test_round_trips_return_only_what_validation_accepts():
+    rng = random.Random(2027)
+    for _ in range(200):
+        sd = random_structure_data(rng)
+        got = decompose(SolutionSpec({p: closed_form(sd, p) for p in sd.primes}))
+        assert got == sd
+        assert_validation_accepts(got)
